@@ -104,7 +104,7 @@ class Node2VecEmbedder:
             rng=walk_rng,
         )
         corpus = walker.generate()
-        pairs = build_training_pairs(corpus.walks, self.config.window_size)
+        pairs = build_training_pairs(corpus, self.config.window_size)
         sampler = UnigramNegativeSampler(corpus.node_counts(), rng=sampler_rng)
         skipgram = SkipGramModel(
             graph.num_nodes,

@@ -65,7 +65,7 @@ class Node2VecDynamicExtender:
                 rng=walk_rng,
             )
             corpus = walker.generate(start_nodes=new_nodes)
-            pairs = build_training_pairs(corpus.walks, config.window_size)
+            pairs = build_training_pairs(corpus, config.window_size)
             if len(pairs):
                 counts = self._corpus_counts(corpus, graph.num_nodes)
                 sampler = UnigramNegativeSampler(counts, rng=sampler_rng)

@@ -8,9 +8,9 @@ The objective for a (center ``u``, context ``v``) pair with negatives
 where ``x`` are input (center) embeddings and ``y`` output (context)
 embeddings.  The gradients are the standard word2vec expressions and are
 applied with mini-batch SGD/Adam.  A set of *frozen* node indices can be
-supplied; gradients for those rows are zeroed before the update, which is
-exactly how the dynamic Node2Vec adaptation of Section IV-A keeps existing
-tuple embeddings stable.
+supplied; those rows are left out of every update, which is exactly how
+the dynamic Node2Vec adaptation of Section IV-A keeps existing tuple
+embeddings stable.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro.nn.negative_sampling import UnigramNegativeSampler
 from repro.optim.optimizers import Adam, Optimizer
@@ -28,6 +29,12 @@ from repro.utils.rng import ensure_rng
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Clip to keep exp() in range; 30 is far beyond float64 sigmoid saturation.
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+
+
+def _mean_loss(pos_score: np.ndarray, neg_score: np.ndarray) -> float:
+    loss = -np.log(_sigmoid(pos_score) + 1e-12).sum()
+    loss -= np.log(_sigmoid(-neg_score) + 1e-12).sum()
+    return float(loss / max(len(pos_score), 1))
 
 
 @dataclass
@@ -61,13 +68,18 @@ class SkipGramModel:
         self.input_embeddings = self.rng.normal(0.0, scale, size=(num_nodes, dim))
         self.output_embeddings = self.rng.normal(0.0, scale, size=(num_nodes, dim))
         self.optimizer = optimizer or Adam(self.config.learning_rate)
-        self.frozen: set[int] = set()
+        self._frozen = np.zeros(num_nodes, dtype=bool)
 
     # ------------------------------------------------------------- topology
 
     @property
     def num_nodes(self) -> int:
         return self.input_embeddings.shape[0]
+
+    @property
+    def frozen(self) -> set[int]:
+        """Indices of the nodes whose embeddings training leaves untouched."""
+        return set(np.flatnonzero(self._frozen).tolist())
 
     def add_nodes(self, count: int) -> np.ndarray:
         """Append ``count`` new randomly initialised nodes; returns their indices."""
@@ -80,6 +92,7 @@ class SkipGramModel:
         start = self.num_nodes
         self.input_embeddings = np.vstack([self.input_embeddings, new_in])
         self.output_embeddings = np.vstack([self.output_embeddings, new_out])
+        self._frozen = np.concatenate([self._frozen, np.zeros(count, dtype=bool)])
         # Optimizer state shapes no longer match; restart it (the paper's
         # continuation trains only the new rows, so losing old momenta is fine).
         self.optimizer.reset()
@@ -87,64 +100,78 @@ class SkipGramModel:
 
     def freeze(self, nodes: Iterable[int]) -> None:
         """Mark nodes whose embeddings must not change during training."""
-        self.frozen.update(int(n) for n in nodes)
+        self._frozen[np.fromiter(nodes, dtype=np.int64)] = True
 
     def unfreeze_all(self) -> None:
-        self.frozen.clear()
+        self._frozen[:] = False
 
     # -------------------------------------------------------------- training
 
-    def loss(self, centers: np.ndarray, contexts: np.ndarray, negatives: np.ndarray) -> float:
-        """Mean SGNS loss of a batch (used by tests and for monitoring)."""
-        x = self.input_embeddings[centers]
-        y_pos = self.output_embeddings[contexts]
-        y_neg = self.output_embeddings[negatives]
-        pos_score = np.sum(x * y_pos, axis=1)
-        neg_score = np.einsum("bd,bkd->bk", x, y_neg)
-        loss = -np.log(_sigmoid(pos_score) + 1e-12).sum()
-        loss -= np.log(_sigmoid(-neg_score) + 1e-12).sum()
-        return float(loss / max(len(centers), 1))
-
-    def _batch_gradients(
+    def _scores(
         self, centers: np.ndarray, contexts: np.ndarray, negatives: np.ndarray
-    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Accumulated gradients of one batch, as (grads, row-index) dicts."""
+    ) -> tuple[np.ndarray, ...]:
+        """Gathered rows ``x, y_pos, y_neg`` and the scores ``x·y_pos, x·y_neg``."""
         x = self.input_embeddings[centers]  # (b, d)
         y_pos = self.output_embeddings[contexts]  # (b, d)
         y_neg = self.output_embeddings[negatives]  # (b, k, d)
-
         pos_score = np.sum(x * y_pos, axis=1)  # (b,)
         neg_score = np.einsum("bd,bkd->bk", x, y_neg)  # (b, k)
-        pos_sig = _sigmoid(pos_score)
-        neg_sig = _sigmoid(neg_score)
+        return x, y_pos, y_neg, pos_score, neg_score
 
+    def loss(self, centers: np.ndarray, contexts: np.ndarray, negatives: np.ndarray) -> float:
+        """Mean SGNS loss of a batch (the oracle of the fused training step)."""
+        *_, pos_score, neg_score = self._scores(centers, contexts, negatives)
+        return _mean_loss(pos_score, neg_score)
+
+    def _scatter_rows(
+        self, nodes: np.ndarray, weights: np.ndarray, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-node sums of ``weights[i, j] * values[i]`` over ``nodes[i, j]``.
+
+        Returns the touched, unfrozen nodes in increasing order and one
+        summed row for each.  The sums are one sparse product; entries of
+        frozen nodes go to a spare last row that is dropped.
+        """
+        flat = nodes.reshape(-1)
+        touched = np.zeros(self.num_nodes, dtype=bool)
+        touched[flat] = True
+        rows = np.flatnonzero(touched & ~self._frozen)
+        slot = np.full(self.num_nodes, rows.size, dtype=np.int64)
+        slot[rows] = np.arange(rows.size)
+        per_value = nodes.shape[1]
+        spread = sparse.csr_matrix(
+            (weights.reshape(-1), slot[flat], np.arange(0, flat.size + 1, per_value)),
+            shape=(nodes.shape[0], rows.size + 1),
+        )
+        return rows, (spread.T @ values)[:-1]
+
+    def _forward_backward(
+        self, centers: np.ndarray, contexts: np.ndarray, negatives: np.ndarray
+    ) -> tuple[float, dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """One pass over a batch: its mean loss and the accumulated gradients.
+
+        The loss is taken before any update and equals :meth:`loss`.  The
+        gradients come as (grads, row-index) dicts with one row per touched
+        unfrozen node, so frozen rows are never updated.
+        """
+        x, y_pos, y_neg, pos_score, neg_score = self._scores(centers, contexts, negatives)
+        loss = _mean_loss(pos_score, neg_score)
         batch = max(len(centers), 1)
-        grad_x = ((pos_sig - 1.0)[:, None] * y_pos + np.einsum("bk,bkd->bd", neg_sig, y_neg)) / batch
-        grad_y_pos = (pos_sig - 1.0)[:, None] * x / batch
-        grad_y_neg = neg_sig[:, :, None] * x[:, None, :] / batch
-
-        # Scatter-accumulate into unique rows so the optimizer sees one
-        # gradient per touched row.
-        input_rows, input_inverse = np.unique(centers, return_inverse=True)
-        grad_input = np.zeros((input_rows.size, x.shape[1]))
-        np.add.at(grad_input, input_inverse, grad_x)
-
-        out_indices = np.concatenate([contexts, negatives.reshape(-1)])
-        out_grads = np.concatenate([grad_y_pos, grad_y_neg.reshape(-1, x.shape[1])])
-        output_rows, output_inverse = np.unique(out_indices, return_inverse=True)
-        grad_output = np.zeros((output_rows.size, x.shape[1]))
-        np.add.at(grad_output, output_inverse, out_grads)
-
-        # Zero the gradients of frozen rows (stability constraint).
-        if self.frozen:
-            frozen_mask_in = np.isin(input_rows, list(self.frozen))
-            grad_input[frozen_mask_in] = 0.0
-            frozen_mask_out = np.isin(output_rows, list(self.frozen))
-            grad_output[frozen_mask_out] = 0.0
-
+        # d loss / d score, per positive and per negative
+        pos_coef = (_sigmoid(pos_score) - 1.0) / batch
+        neg_coef = _sigmoid(neg_score) / batch
+        grad_x = pos_coef[:, None] * y_pos + np.einsum("bk,bkd->bd", neg_coef, y_neg)
+        input_rows, grad_input = self._scatter_rows(
+            centers[:, None], np.ones((len(centers), 1)), grad_x
+        )
+        output_rows, grad_output = self._scatter_rows(
+            np.concatenate([contexts[:, None], negatives], axis=1),
+            np.concatenate([pos_coef[:, None], neg_coef], axis=1),
+            x,
+        )
         grads = {"input": grad_input, "output": grad_output}
         rows = {"input": input_rows, "output": output_rows}
-        return grads, rows
+        return loss, grads, rows
 
     def train_pairs(
         self,
@@ -172,9 +199,9 @@ class SkipGramModel:
                 centers = batch[:, 0]
                 contexts = batch[:, 1]
                 negatives = sampler.sample((len(batch), negatives_k))
-                epoch_loss += self.loss(centers, contexts, negatives)
+                loss, grads, rows = self._forward_backward(centers, contexts, negatives)
+                epoch_loss += loss
                 num_batches += 1
-                grads, rows = self._batch_gradients(centers, contexts, negatives)
                 self.optimizer.update(params, grads, rows)
             history.append(epoch_loss / max(num_batches, 1))
         # Parameter dict holds references; keep attributes in sync in case the

@@ -35,7 +35,10 @@ class Optimizer(abc.ABC):
         ``grads[name]`` must have the same shape as ``params[name]`` unless
         ``rows`` provides row indices for ``name``, in which case the gradient
         has shape ``(len(rows[name]), *params[name].shape[1:])`` and only those
-        rows are updated (sparse update).
+        rows are updated (sparse update).  ``rows[name]`` must not repeat a
+        row: a row's gradient is its one summed gradient, and the stateful
+        optimizers (momentum, Adam) gather and write back each row once.
+        Only plain SGD accumulates repeated rows.
         """
 
     def reset(self) -> None:
@@ -112,16 +115,20 @@ class Adam(Optimizer):
         correction2 = 1.0 - self.beta2**self._step
         for name, grad in grads.items():
             param = params[name]
-            first = self._first.setdefault(name, np.zeros_like(param))
-            second = self._second.setdefault(name, np.zeros_like(param))
+            if name not in self._first:  # setdefault would allocate every step
+                self._first[name] = np.zeros_like(param)
+                self._second[name] = np.zeros_like(param)
+            first, second = self._first[name], self._second[name]
             if rows is not None and name in rows:
+                # the dense formula on the gathered rows; rows are unique, so
+                # plain indexed writes are exact
                 idx = rows[name]
-                first[idx] = self.beta1 * first[idx] + (1 - self.beta1) * grad
-                second[idx] = self.beta2 * second[idx] + (1 - self.beta2) * grad * grad
-                m_hat = first[idx] / correction1
-                v_hat = second[idx] / correction2
-                np.subtract.at(
-                    param, idx, self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+                m = self.beta1 * first[idx] + (1 - self.beta1) * grad
+                v = self.beta2 * second[idx] + (1 - self.beta2) * grad * grad
+                first[idx] = m
+                second[idx] = v
+                param[idx] -= self.learning_rate * (m / correction1) / (
+                    np.sqrt(v / correction2) + self.epsilon
                 )
             else:
                 first *= self.beta1

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.datasets.movies import movies_database
 from repro.graph import DatabaseGraph, Node2VecWalker
@@ -84,3 +85,92 @@ def test_null_heavy_fact_walk_is_confined_to_its_component():
     walk = walker.walk_from(graph.fact_node(fact))
     assert set(walk) == set(created)
     assert len(walk) == 10
+
+
+# ------------------------------------------------- second-order walk oracle
+
+
+class _StubGraph:
+    """A small non-bipartite graph with the two calls the walker reads.
+
+    Triangles make "x is a neighbour of t" true for some proposals, which a
+    bipartite :class:`DatabaseGraph` never allows, and the doubled 0-2 edge
+    checks that neighbour lists are weighted as multisets.
+    """
+
+    edges = [(0, 1), (1, 2), (0, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 3), (1, 4), (5, 6)]
+
+    def __init__(self):
+        self.num_nodes = 7
+        self._adjacency = [[] for _ in range(self.num_nodes)]
+        for a, b in self.edges:
+            self._adjacency[a].append(b)
+            self._adjacency[b].append(a)
+
+    def neighbors(self, node):
+        return self._adjacency[node]
+
+
+def _transition_probabilities(graph, t, v, p, q, neighbour_weight=1.0):
+    """Exact node2vec probabilities of the step after ``t -> v``."""
+    previous_neighbors = set(graph.neighbors(t))
+    weights = {}
+    for x in graph.neighbors(v):
+        if x == t:
+            w = 1.0 / p
+        elif x in previous_neighbors:
+            w = neighbour_weight
+        else:
+            w = 1.0 / q
+        weights[x] = weights.get(x, 0.0) + w
+    total = sum(weights.values())
+    return {x: w / total for x, w in weights.items()}
+
+
+def _second_order_counts(graph, p, q, walks_per_node, walk_length, seed):
+    """Observed next-node counts per (previous, current) pair of the walks."""
+    walker = Node2VecWalker(
+        graph, walks_per_node=walks_per_node, walk_length=walk_length, p=p, q=q, rng=seed
+    )
+    paths = walker.generate().paths
+    counts: dict[tuple[int, int], dict[int, int]] = {}
+    for i in range(2, paths.shape[1]):
+        for t, v, x in paths[:, i - 2 : i + 1].tolist():
+            if x < 0:
+                continue
+            row = counts.setdefault((t, v), {})
+            row[x] = row.get(x, 0) + 1
+    return counts
+
+
+def _chi_square_p_value(graph, counts, p, q, neighbour_weight=1.0):
+    """Pooled chi-square test of the counts against the exact probabilities."""
+    statistic = 0.0
+    dof = 0
+    for (t, v), observed in counts.items():
+        expected = _transition_probabilities(graph, t, v, p, q, neighbour_weight)
+        assert set(observed) <= set(expected), "a step left the neighbour list"
+        n = sum(observed.values())
+        if n * min(expected.values()) < 5:
+            continue  # too few samples for the chi-square approximation
+        statistic += sum((observed.get(x, 0) - n * e) ** 2 / (n * e) for x, e in expected.items())
+        dof += len(expected) - 1
+    assert dof > 20
+    return stats.chi2.sf(statistic, dof)
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 2.0), (2.0, 0.25), (4.0, 8.0)])
+def test_second_order_transitions_match_node2vec_on_movies(graph, p, q):
+    counts = _second_order_counts(graph, p, q, walks_per_node=300, walk_length=12, seed=11)
+    assert _chi_square_p_value(graph, counts, p, q) > 1e-3
+    # the oracle has power: the first-order (uniform) law is rejected
+    assert _chi_square_p_value(graph, counts, 1.0, 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 2.0), (2.0, 0.25), (4.0, 8.0)])
+def test_second_order_transitions_match_node2vec_on_non_bipartite_graph(p, q):
+    stub = _StubGraph()
+    counts = _second_order_counts(stub, p, q, walks_per_node=3000, walk_length=12, seed=5)
+    assert _chi_square_p_value(stub, counts, p, q) > 1e-3
+    # weighting common neighbours of t like any other neighbour is rejected
+    assert _chi_square_p_value(stub, counts, p, q, neighbour_weight=1.0 / q) < 1e-6

@@ -59,7 +59,10 @@ def test_dynamic_extension_stable_and_useful_at_low_ratio(world, method):
     # At this reduced scale only ~14 new tuples are evaluated per run, so the
     # accuracy estimate is noisy; require the methods to be at or around the
     # majority baseline here and leave the strictly-above-baseline claim to
-    # the 50%-ratio test below and to the benchmark harness.
+    # the 50%-ratio test below and to the benchmark harness.  Node2Vec's
+    # figure here is seed noise around ~0.2 (an extension that leaves the new
+    # nodes untrained scores higher), so its training is checked by
+    # tests/core/test_node2vec_dynamic.py on held-out pairs instead.
     margin = 0.05 if method.name == "forward" else 0.15
     assert result.accuracy_mean >= result.baseline_mean - margin
 

@@ -1,6 +1,7 @@
 """Tests for walk corpora and skip-gram pair construction."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro.nn import WalkCorpus, build_training_pairs
 
@@ -37,3 +38,40 @@ def test_empty_walks_give_empty_pairs():
 
 def test_single_node_walk_gives_no_pairs():
     assert build_training_pairs([[5]], window_size=2).shape == (0, 2)
+
+
+def _reference_pairs(walks, window_size, restrict_centers_to=None):
+    pairs = []
+    for walk in walks:
+        for i, center in enumerate(walk):
+            if restrict_centers_to is not None and center not in restrict_centers_to:
+                continue
+            for j in range(max(0, i - window_size), min(len(walk), i + window_size + 1)):
+                if j != i:
+                    pairs.append((center, walk[j]))
+    return pairs
+
+
+walk_lists = st.lists(st.lists(st.integers(0, 9), min_size=0, max_size=12), max_size=8)
+
+
+@given(
+    walk_lists,
+    st.integers(1, 5),
+    st.one_of(st.none(), st.sets(st.integers(0, 9), max_size=6)),
+)
+@settings(max_examples=200, deadline=None)
+def test_pairs_and_counts_match_the_nested_loop(walks, window_size, restrict):
+    expected = _reference_pairs(walks, window_size, restrict)
+    for source in (walks, WalkCorpus(walks, num_nodes=10)):
+        pairs = build_training_pairs(source, window_size, restrict_centers_to=restrict)
+        assert pairs.dtype == np.int64 and pairs.shape == (len(expected), 2)
+        # the same pairs, in the same walk/center/context order
+        assert [tuple(p) for p in pairs.tolist()] == expected
+    counts = np.zeros(10)
+    for walk in walks:
+        for node in walk:
+            counts[node] += 1
+    corpus = WalkCorpus(walks, num_nodes=10)
+    assert np.array_equal(corpus.node_counts(), counts)
+    assert corpus.walks == [list(walk) for walk in walks]

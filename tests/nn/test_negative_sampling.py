@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.nn import UnigramNegativeSampler
+from repro.nn.negative_sampling import alias_table
 
 
 def test_probabilities_follow_smoothed_counts():
@@ -44,3 +46,42 @@ def test_empirical_frequencies_match_probabilities():
 def test_invalid_counts_rejected(bad):
     with pytest.raises(ValueError):
         UnigramNegativeSampler(bad)
+
+
+def _wide_counts():
+    """Counts spanning eight orders of magnitude, a third of them zero."""
+    rng = np.random.default_rng(4)
+    counts = np.round(10.0 ** rng.uniform(0, 8, size=300))
+    counts[rng.choice(300, size=100, replace=False)] = 0.0
+    return counts
+
+
+def test_alias_table_reproduces_the_distribution_exactly():
+    weights = _wide_counts()
+    weights = weights[weights > 0]
+    acceptance, alias = alias_table(weights)
+    n = weights.size
+    implied = acceptance + np.bincount(alias, weights=1.0 - acceptance, minlength=n)
+    assert np.allclose(implied / n, weights / weights.sum(), rtol=0.0, atol=1e-12)
+
+
+def test_zero_count_nodes_are_never_drawn():
+    # Counts whose alias construction leaves float leftovers: a zero-count
+    # node must stay unreachable, never be rounded up to a sure draw.
+    sampler = UnigramNegativeSampler(np.array([0.0, 0.0, 0.1, 0.0, 1e-9, 0.0, 0.3]), rng=2)
+    draws = sampler.sample(200_000)
+    assert set(np.unique(draws).tolist()) <= {2, 4, 6}
+
+
+def test_alias_draws_pass_a_chi_square_test():
+    sampler = UnigramNegativeSampler(_wide_counts(), rng=9)
+    draws = 400_000
+    observed = np.bincount(sampler.sample(draws), minlength=sampler.num_nodes)
+    positive = sampler.probabilities > 0
+    assert observed[~positive].sum() == 0
+    expected = draws * sampler.probabilities[positive]
+    # pool the rare nodes so every cell expects at least 5 draws
+    rare = expected < 5
+    cells_observed = np.append(observed[positive][~rare], observed[positive][rare].sum())
+    cells_expected = np.append(expected[~rare], expected[rare].sum())
+    assert stats.chisquare(cells_observed, cells_expected).pvalue > 1e-3

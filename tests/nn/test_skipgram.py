@@ -34,7 +34,7 @@ def test_analytic_gradients_match_finite_differences():
     contexts = np.array([1, 2, 3])
     negatives = np.array([[4, 5], [5, 0], [3, 4]])
 
-    grads, rows = model._batch_gradients(centers, contexts, negatives)
+    _, grads, rows = model._forward_backward(centers, contexts, negatives)
 
     def input_loss(flat_inputs):
         original = model.input_embeddings
@@ -127,3 +127,56 @@ def test_empty_pairs_is_a_no_op():
     model = small_model()
     sampler = UnigramNegativeSampler(np.ones(6), rng=1)
     assert model.train_pairs(np.zeros((0, 2)), sampler) == []
+
+
+def test_fused_batch_loss_equals_the_loss_oracle_before_the_update():
+    model = small_model(num_nodes=8, dim=6)
+    rng = np.random.default_rng(3)
+    centers = rng.integers(8, size=40)
+    contexts = rng.integers(8, size=40)
+    negatives = rng.integers(8, size=(40, 2))
+    expected = model.loss(centers, contexts, negatives)
+    fused, _, _ = model._forward_backward(centers, contexts, negatives)
+    assert abs(fused - expected) <= 1e-12
+
+    # the same holds for the loss train_pairs reports for a one-batch epoch
+    pairs = np.stack([centers, contexts], axis=1)
+    oracle_negatives = UnigramNegativeSampler(np.ones(8), rng=5).sample((40, 2))
+    expected = model.loss(centers, contexts, oracle_negatives)
+    sampler = UnigramNegativeSampler(np.ones(8), rng=5)
+    history = model.train_pairs(pairs, sampler, epochs=1, batch_size=64, shuffle=False)
+    assert abs(history[0] - expected) <= 1e-12
+
+
+def test_repeated_rows_are_summed_into_one_gradient_row():
+    model = small_model()
+    centers = np.array([0, 0, 1])
+    contexts = np.array([2, 2, 2])
+    negatives = np.array([[3, 3], [2, 4], [0, 3]])
+    _, grads, rows = model._forward_backward(centers, contexts, negatives)
+    assert rows["input"].tolist() == [0, 1]
+    assert rows["output"].tolist() == [0, 2, 3, 4]
+    assert grads["input"].shape == (2, 5)
+    assert grads["output"].shape == (4, 5)
+
+
+def test_frozen_rows_stay_bit_identical_after_add_nodes_and_training():
+    model = small_model()
+    sampler = UnigramNegativeSampler(np.ones(6), rng=1)
+    model.train_pairs(np.array([[0, 1], [1, 2], [3, 4], [4, 5]]), sampler, epochs=2)
+    model.add_nodes(3)
+    model.freeze(range(6))
+    assert model.frozen == set(range(6))
+    old_in = model.input_embeddings[:6].copy()
+    old_out = model.output_embeddings[:6].copy()
+    new_in = model.input_embeddings[6:].copy()
+    pairs = np.array([[6, 0], [0, 6], [7, 1], [1, 7], [8, 2], [6, 7], [7, 8]])
+    model.train_pairs(pairs, UnigramNegativeSampler(np.ones(9), rng=2), epochs=5)
+    assert np.array_equal(model.input_embeddings[:6], old_in)
+    assert np.array_equal(model.output_embeddings[:6], old_out)
+    assert not np.allclose(model.input_embeddings[6:], new_in)
+    # nodes added while others are frozen start unfrozen
+    model.add_nodes(2)
+    assert model.frozen == set(range(6))
+    model.unfreeze_all()
+    assert model.frozen == set()

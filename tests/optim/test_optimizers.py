@@ -90,3 +90,40 @@ def test_invalid_momentum_rejected():
 def test_invalid_adam_betas_rejected():
     with pytest.raises(ValueError):
         Adam(0.1, beta1=1.0)
+
+
+def test_adam_sparse_step_is_bit_identical_to_the_scatter_formulation():
+    """Pin the indexed sparse Adam step against the np.subtract.at form."""
+
+    def reference_update(opt, params, grads, rows):
+        opt._step += 1
+        correction1 = 1.0 - opt.beta1**opt._step
+        correction2 = 1.0 - opt.beta2**opt._step
+        for name, grad in grads.items():
+            param = params[name]
+            first = opt._first.setdefault(name, np.zeros_like(param))
+            second = opt._second.setdefault(name, np.zeros_like(param))
+            idx = rows[name]
+            first[idx] = opt.beta1 * first[idx] + (1 - opt.beta1) * grad
+            second[idx] = opt.beta2 * second[idx] + (1 - opt.beta2) * grad * grad
+            m_hat = first[idx] / correction1
+            v_hat = second[idx] / correction2
+            np.subtract.at(param, idx, opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon))
+
+    rng = np.random.default_rng(0)
+    start = {"a": rng.normal(size=(50, 7)), "b": rng.normal(size=(20, 3))}
+    ours = {name: value.copy() for name, value in start.items()}
+    theirs = {name: value.copy() for name, value in start.items()}
+    optimizer, reference = Adam(0.03), Adam(0.03)
+    for _ in range(25):
+        rows = {
+            "a": np.sort(rng.choice(50, size=int(rng.integers(1, 50)), replace=False)),
+            "b": rng.permutation(20)[: int(rng.integers(1, 20))],
+        }
+        grads = {name: rng.normal(size=(idx.size, start[name].shape[1])) for name, idx in rows.items()}
+        optimizer.update(ours, grads, rows)
+        reference_update(reference, theirs, grads, rows)
+    for name in start:
+        assert np.array_equal(ours[name], theirs[name])
+        assert np.array_equal(optimizer._first[name], reference._first[name])
+        assert np.array_equal(optimizer._second[name], reference._second[name])
