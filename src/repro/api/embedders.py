@@ -59,7 +59,6 @@ class ForwardEmbedding(Embedder):
         self._extender: ForwardDynamicExtender | None = None
         self._recompute_old_paths = False
         self._extension_rng: int | np.random.Generator | None = None
-        self._workers = 0
 
     @classmethod
     def from_model(
@@ -119,11 +118,9 @@ class ForwardEmbedding(Embedder):
         *,
         recompute_old_paths: bool = False,
         rng: int | np.random.Generator | None = None,
-        workers: int = 0,
     ) -> None:
         self._recompute_old_paths = recompute_old_paths
         self._extension_rng = rng
-        self._workers = int(workers)
         self._extender = None
 
     @property
@@ -192,7 +189,7 @@ class ForwardEmbedding(Embedder):
         extender = self.extender
         extender.rng = ensure_rng(seed)
         facts = list(facts)
-        vectors = extender.extend_batch(facts, workers=self._workers)
+        vectors = extender.extend_batch(facts)
         updates: dict[Fact, np.ndarray] = {}
         for fact in facts:
             vector = vectors[fact.fact_id]
@@ -264,11 +261,9 @@ class Node2VecEmbedding(Embedder):
         *,
         recompute_old_paths: bool = False,
         rng: int | np.random.Generator | None = None,
-        workers: int = 0,
     ) -> None:
-        # the model's graph is extended in place, and skip-gram continuation
-        # has no parallelisable solve stage
-        del recompute_old_paths, workers
+        # the model's graph is extended in place
+        del recompute_old_paths
         self._extension_rng = rng
         self._extender = None
 

@@ -114,18 +114,14 @@ class Embedder(abc.ABC):
         *,
         recompute_old_paths: bool = False,
         rng: int | np.random.Generator | None = None,
-        workers: int = 0,
     ) -> None:
         """Configure how :meth:`partial_fit` embeds subsequent batches.
 
         ``recompute_old_paths`` selects the paper's all-at-once setting for
-        methods that distinguish it (FoRWaRD); ``rng`` seeds the extension;
-        ``workers`` opts re-extension into a process pool for methods with a
-        parallelisable solve stage (results are byte-identical to serial by
-        contract — see :mod:`repro.engine.parallel`).  Called by the drivers
-        and the service at bind time; the default implementation ignores
-        every argument, which is correct for methods without extension
-        state.
+        methods that distinguish it (FoRWaRD); ``rng`` seeds the extension.
+        Called by the drivers and the service at bind time; the default
+        implementation ignores every argument, which is correct for methods
+        without extension state.
         """
 
     def partial_fit(self, facts: Sequence[Fact]) -> TupleEmbedding:

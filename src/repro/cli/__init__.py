@@ -7,10 +7,6 @@ are the subcommand's long options, with explicit flags overriding the file,
 plus a ``--seed`` that is plumbed end-to-end through dataset generation,
 engine sampling and model initialisation.  Methods are chosen everywhere by
 the same ``"name(key=value)"`` specs of :mod:`repro.api.registry`.
-
-The historical module entry points (``python -m repro.io.ingest``,
-``python -m repro.service.replay``) remain as deprecation shims that
-forward here and emit a :class:`DeprecationWarning`.
 """
 
 from repro.cli.main import main

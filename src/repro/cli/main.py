@@ -4,8 +4,7 @@ Builds one :mod:`argparse` tree with a subparser per subcommand module
 (each contributes ``add_arguments``/``execute``), handles ``--version``,
 and applies the shared config-file layer (:func:`repro.cli.common.
 parse_with_config`) before dispatching.  Subcommand modules stay directly
-runnable (their ``run(argv)``) so the legacy deprecation shims can forward
-to them without going through the dispatcher.
+runnable through their ``run(argv)``, without the dispatcher.
 """
 
 from __future__ import annotations

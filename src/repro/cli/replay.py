@@ -62,11 +62,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=int, default=DEFAULT_CONFIG.epochs)
     parser.add_argument("--dimension", type=int, default=DEFAULT_CONFIG.dimension)
     parser.add_argument(
-        "--workers", type=int, default=0,
-        help="process-pool size for the recompute solve stage (0 = in-process; "
-        "embeddings are byte-identical for any value)",
-    )
-    parser.add_argument(
         "--output", type=Path, default=Path("BENCH_streaming.json"),
         help="where to write the JSON report",
     )
@@ -103,7 +98,6 @@ def execute(args: argparse.Namespace) -> int:
             delete_fraction=args.delete_fraction,
             update_fraction=args.update_fraction,
             telemetry=telemetry,
-            workers=args.workers,
         )
     except ValueError as error:
         raise CLIError(str(error)) from None

@@ -58,11 +58,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policy", choices=("recompute", "on_arrival"),
                         default="recompute")
     parser.add_argument(
-        "--workers", type=int, default=0,
-        help="process-pool size for the recompute solve stage (0 = in-process; "
-        "embeddings are byte-identical for any value)",
-    )
-    parser.add_argument(
         "--index", choices=("exact", "ivf"), default=None,
         help="kNN index the store maintains (default: exact; with --attach, "
         "default is whatever the persisted store used)",
@@ -172,7 +167,7 @@ def execute(args: argparse.Namespace) -> int:
     """Run an already parsed serve invocation."""
     from repro.api import MethodSpecError, make_embedder
     from repro.cli.common import require
-    from repro.evaluation.timing import latency_summary
+    from repro.obs import latency_summary
     from repro.io.stream import stream_table
     from repro.service import EmbeddingService
 
@@ -206,7 +201,7 @@ def execute(args: argparse.Namespace) -> int:
     try:
         service = EmbeddingService(
             embedder, stream.base, policy=args.policy, seed=args.seed,
-            telemetry=telemetry, workers=args.workers,
+            telemetry=telemetry,
             index=args.index or "exact",
         )
     except ValueError as error:

@@ -28,7 +28,6 @@ from repro.core.base import TupleEmbedding
 from repro.core.forward import ForwardModel, WalkTarget
 from repro.db.database import Database, Fact
 from repro.engine import WalkEngine
-from repro.engine.parallel import solve_systems
 from repro.kernels.base import Kernel
 from repro.utils.linalg import solve_least_squares
 from repro.utils.rng import ensure_rng
@@ -316,9 +315,7 @@ class ForwardDynamicExtender:
             return self.model.phi.mean(axis=0)
         return solve_least_squares(np.vstack(rows), np.concatenate(rhs))
 
-    def extend_batch(
-        self, facts: Sequence[Fact], workers: int = 0
-    ) -> dict[int, np.ndarray]:
+    def extend_batch(self, facts: Sequence[Fact]) -> dict[int, np.ndarray]:
         """Embed many new facts through one fused batched pipeline.
 
         Semantically identical to calling :meth:`embed_fact` on every fact in
@@ -329,11 +326,6 @@ class ForwardDynamicExtender:
         per *batch* instead of once per *fact*, which is where the serial
         path spends almost all of its time.  Returns ``fact_id -> φ(f_new)``;
         the model is not modified.
-
-        ``workers > 1`` fans the final least-squares solves out over a
-        process pool (:func:`repro.engine.parallel.solve_systems`).  All
-        randomness is consumed during assembly, before the pool is involved,
-        so worker results are byte-identical to the serial path.
 
         Re-embedding the same arrival prefix (the recompute policy replays the
         whole stream every batch under a per-pass reseeded RNG) is memoised
@@ -474,11 +466,8 @@ class ForwardDynamicExtender:
                     }
                 )
         with telemetry.stage("service.embed.solve"):
-            solved = solve_systems(
-                [(matrix, rhs) for _, matrix, rhs in systems], workers=workers
-            )
-            for (i, _, _), vector in zip(systems, solved):
-                vectors_list[i] = vector
+            for i, matrix, rhs in systems:
+                vectors_list[i] = solve_least_squares(matrix, rhs)
             for i, record in enumerate(records):
                 record["vector"] = vectors_list[i]
         if records:

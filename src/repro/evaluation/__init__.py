@@ -39,7 +39,6 @@ from repro.evaluation.reporting import (
     format_static_table,
     format_timing_table,
 )
-from repro.evaluation.timing import latency_summary
 
 __all__ = [
     "EmbeddingMethod",
@@ -62,5 +61,4 @@ __all__ = [
     "format_dynamic_table",
     "format_timing_table",
     "format_figure5_series",
-    "latency_summary",
 ]

@@ -3,11 +3,7 @@
 The timing numbers are measured inside the static and dynamic experiment
 drivers; these helpers only reshape them into per-table rows so the
 benchmark harness and EXPERIMENTS.md generation stay declarative.
-
-:func:`latency_summary` — historically defined here — moved to
-:mod:`repro.obs.metrics` when the observability layer absorbed percentile
-aggregation as its single implementation; it is re-exported unchanged so
-existing imports (and the BENCH field names it emits) keep working.
+Latency percentiles live in :func:`repro.obs.metrics.latency_summary`.
 """
 
 from __future__ import annotations
@@ -16,10 +12,8 @@ from typing import Sequence
 
 from repro.evaluation.dynamic_experiment import DynamicResult
 from repro.evaluation.static_experiment import StaticResult
-from repro.obs.metrics import latency_summary
 
 __all__ = [
-    "latency_summary",
     "static_timing_rows",
     "dynamic_timing_rows",
 ]

@@ -25,8 +25,7 @@ The pipeline::
 * :func:`register_ingested` — make an external corpus available to every
   experiment driver via ``load_dataset(name)``;
 * ``python -m repro ingest`` — the file → database → embeddings → saved
-  model command line (:mod:`repro.cli.ingest`; the historical
-  ``python -m repro.io.ingest`` forwards there as a deprecation shim).
+  model command line (:mod:`repro.cli.ingest`).
 
 See ``docs/INGESTION.md`` for the full guide.
 """

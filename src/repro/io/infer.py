@@ -142,7 +142,7 @@ class InferenceReport:
         }
 
     def format(self) -> str:
-        """A human-readable summary (printed by ``repro.io.ingest --report``)."""
+        """A human-readable summary (printed by ``python -m repro ingest --report``)."""
         lines: list[str] = []
         for table, (key, reason) in self.keys.items():
             lines.append(f"{table}: key ({', '.join(key)}) — {reason}")

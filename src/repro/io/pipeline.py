@@ -13,8 +13,7 @@ for the experiment drivers, and registration into the dataset registry.
 
 The companion CLI is ``python -m repro ingest`` (:mod:`repro.cli.ingest`),
 which drives this pipeline end to end — files → database → embeddings →
-saved model in one command; the historical ``python -m repro.io.ingest``
-entry point forwards there as a deprecation shim.
+saved model in one command.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from repro.io.tables import (
 )
 
 SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
-"""File suffixes recognised as SQLite containers by :func:`repro.io.ingest.ingest_path`."""
+"""File suffixes recognised as SQLite containers by :func:`repro.io.pipeline.ingest_path`."""
 
 
 def read_csv_dir(

@@ -3,7 +3,7 @@
 Layer: ``io`` (relational ingestion; bridges ``db`` to ``service``).
 
 An ingested corpus is a static snapshot, but the serving layer
-(:mod:`repro.service`) consumes ordered :class:`InsertBatch` streams.
+(:mod:`repro.service`) consumes ordered :class:`~repro.service.ChangeBatch` streams.
 :func:`stream_table` splits one relation's facts into a *base* database
 (everything that was "already there") and a :class:`ChangeFeed` of the
 held-out tail in original row order — external data usually arrives

@@ -22,7 +22,10 @@ Protocol (all bodies JSON; responses carry ``version``/``head_version``/
 ====================  =====================================================
 
 Errors map to HTTP status: unknown fact/version → 404, malformed request
-→ 400, anything else → 500, always with ``{"error": ...}``.  Bind with
+→ 400, anything else → 500, always with ``{"error": ...}``; a 500 says only
+``"internal error"``, never the exception text.  A ``Content-Length`` that
+is negative (400) or above :data:`MAX_BODY_BYTES` (413) is refused before
+any of the body is read, and the connection is closed.  Bind with
 ``port=0`` to let the OS pick a free port (tests do); ``server.port``
 reports the bound one.  :class:`~repro.serve.client.ServeClient` is the
 matching client.
@@ -35,6 +38,17 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.serve.backend import LocalBackend
+
+MAX_BODY_BYTES = 1 << 20
+"""Largest request body the server reads (1 MiB)."""
+
+
+class _Refused(Exception):
+    """A request refused before its body is read."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -57,11 +71,20 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            raise _Refused(400, "malformed Content-Length") from None
+        if length < 0:
+            raise _Refused(400, "negative Content-Length")
+        if length > MAX_BODY_BYTES:
+            raise _Refused(413, f"request body over {MAX_BODY_BYTES} bytes")
         if length == 0:
             return {}
         data = json.loads(self.rfile.read(length).decode("utf-8"))
@@ -82,8 +105,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._respond(200, backend.versions())
             else:
                 self._respond(404, {"error": f"unknown endpoint {self.path!r}"})
-        except Exception as exc:  # pragma: no cover - defensive
-            self._respond(500, {"error": repr(exc)})
+        except Exception:
+            self._respond(500, {"error": "internal error"})
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         backend = self.embedding_server.backend
@@ -112,12 +135,16 @@ class _Handler(BaseHTTPRequestHandler):
                 self._respond(404, {"error": f"unknown endpoint {self.path!r}"})
                 return
             self._respond(200, result)
+        except _Refused as exc:
+            # the unread body would be parsed as the next request
+            self.close_connection = True
+            self._respond(exc.status, {"error": str(exc)})
         except KeyError as exc:
             self._respond(404, {"error": f"not found: {exc}"})
         except (ValueError, TypeError, json.JSONDecodeError) as exc:
             self._respond(400, {"error": str(exc)})
-        except Exception as exc:  # pragma: no cover - defensive
-            self._respond(500, {"error": repr(exc)})
+        except Exception:
+            self._respond(500, {"error": "internal error"})
 
 
 class EmbeddingServer:

@@ -7,8 +7,7 @@ jobs.  This package turns that machinery into a long-lived *service*:
 * :mod:`repro.service.store` — :class:`EmbeddingStore`, a versioned,
   snapshotable store of tuple embeddings with batched queries (fetch by
   fact, k-nearest-neighbour, per-relation slices);
-* :mod:`repro.service.feed` — :class:`ChangeFeed` (a.k.a. ``UpdateLog``),
-  an ordered stream of typed change batches (insert / delete / update ops)
+* :mod:`repro.service.feed` — :class:`ChangeFeed`, an ordered stream of typed change batches (insert / delete / update ops)
   with idempotent batch ids, plus the :func:`partition_feed` adapter that
   replays a dataset's dynamic split and :func:`churn_feed`, which turns the
   same split into a full-CRUD churn workload;
@@ -18,9 +17,7 @@ jobs.  This package turns that machinery into a long-lived *service*:
   is wrapped on the spot), applies feed batches and commits one store
   version per batch;
 * :mod:`repro.service.replay` — the streaming scenario driver behind
-  ``python -m repro replay`` (the historical ``python -m
-  repro.service.replay`` entry point forwards there as a deprecation
-  shim);
+  ``python -m repro replay``;
 * :mod:`repro.service.ladder` — the throughput-ladder perf-regression
   harness: the same replay at increasing dataset scales, with asserted
   throughput floors and exactness bars per rung.
@@ -30,8 +27,6 @@ from repro.service.feed import (
     ChangeBatch,
     ChangeFeed,
     ChangeOp,
-    InsertBatch,
-    UpdateLog,
     churn_feed,
     partition_feed,
 )
@@ -51,10 +46,8 @@ __all__ = [
     "ChangeOp",
     "EmbeddingService",
     "EmbeddingStore",
-    "InsertBatch",
     "ServiceStats",
     "StoreSnapshot",
-    "UpdateLog",
     "check_ladder",
     "churn_feed",
     "is_ladder_payload",

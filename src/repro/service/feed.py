@@ -1,12 +1,12 @@
 """The change feed: an ordered stream of typed change batches.
 
-A :class:`ChangeFeed` (alias :class:`UpdateLog`) is an append-only log of
-:class:`ChangeBatch` entries, each an ordered sequence of typed
-:class:`ChangeOp`\\ s — ``insert``, ``delete`` or ``update``.  Consumers
-read by *sequence number* and may see the same batch more than once
-(at-least-once delivery — a consumer that crashes mid-apply re-reads from
-its last acknowledged sequence), so every batch carries a deterministic,
-idempotent ``batch_id`` that lets the service and the store deduplicate
+A :class:`ChangeFeed` is an append-only log of :class:`ChangeBatch`
+entries, each an ordered sequence of typed :class:`ChangeOp`\\ s —
+``insert``, ``delete`` or ``update``.  Consumers read by *sequence
+number* and may see the same batch more than once (at-least-once delivery
+— a consumer that crashes mid-apply re-reads from its last acknowledged
+sequence), so every batch carries a deterministic, idempotent
+``batch_id`` that lets the service and the store deduplicate
 re-deliveries exactly once.  The ops themselves are idempotent under
 re-application too: re-inserting a present fact, re-deleting an absent one
 and re-applying an update that already took are all no-ops, so even a
@@ -69,7 +69,7 @@ class ChangeBatch:
     @property
     def facts(self) -> tuple[Fact, ...]:
         """The facts of every op, in order (all of them inserts for a pure
-        insert batch — the historical :class:`InsertBatch` reading)."""
+        insert batch)."""
         return tuple(op.fact for op in self.ops)
 
     def _of_kind(self, kind: str) -> tuple[Fact, ...]:
@@ -92,10 +92,6 @@ class ChangeBatch:
 
     def __iter__(self) -> Iterator[Fact]:
         return iter(self.facts)
-
-
-InsertBatch = ChangeBatch
-"""Historical name from when the feed carried inserts only."""
 
 
 def _ops_digest(ops: Sequence[ChangeOp]) -> str:
@@ -189,10 +185,6 @@ class ChangeFeed:
             yield batch
 
 
-UpdateLog = ChangeFeed
-"""The feed doubles as the durable update log of the serving layer."""
-
-
 def partition_feed(
     partition: Partition,
     group_size: int = 1,
@@ -248,17 +240,20 @@ def churn_feed(
 
     The insert stream is grouped exactly like :func:`partition_feed`; after
     each insert group a deterministic scheduler (seeded by ``rng``) deletes
-    ``delete_fraction`` (of the group size) facts streamed so far and still
-    live, and rewrites a mutable attribute on ``update_fraction`` facts
-    drawn from the surviving stream *and* the base database (a tuple that
-    was always there can change too — that is what makes it churn, not just
-    ingest), with replacement values from the attribute's observed value
-    pool.  Deletions are plain (non-cascading) deletes — later arrivals
-    referencing a deleted fact dangle, which both the database and the
-    compiled engine tolerate.  Each emitted batch carries its inserts
-    first, then updates, then deletes, under a batch id embedding the op
-    signature, so regenerating the feed from the same partition and seed is
-    id-identical.
+    facts streamed so far and still live, and rewrites a mutable attribute
+    on facts drawn from the surviving stream *and* the base database.  The
+    counts carry their fractional remainder across groups: after every
+    group the feed has deleted ``round(delete_fraction × inserts so far)``
+    facts and updated ``round(update_fraction × inserts so far)`` (fewer
+    only while too few candidates exist), so small groups churn too.
+    Updates may hit base facts (a tuple that was always there can change
+    too — that is what makes it churn, not just ingest), with replacement
+    values from the attribute's observed value pool.  Deletions are plain
+    (non-cascading) deletes — later arrivals referencing a deleted fact
+    dangle, which both the database and the compiled engine tolerate.  Each
+    emitted batch carries its inserts first, then updates, then deletes,
+    under a batch id embedding the op signature, so regenerating the feed
+    from the same partition and seed is id-identical.
     """
     if group_size < 1:
         raise ValueError("group_size must be at least 1")
@@ -297,6 +292,7 @@ def churn_feed(
     }
     streamed_live: set[int] = set()
     streamed_facts: dict[int, Fact] = {}
+    inserted = deleted = updated_total = 0
 
     def rewrite(fact: Fact) -> Fact | None:
         """A copy of ``fact`` with one mutable attribute changed, or None."""
@@ -323,16 +319,18 @@ def churn_feed(
             if _mutable_attributes(fact, partition):
                 state[fact.fact_id] = fact
         ops = [ChangeOp("insert", fact) for fact in inserts]
+        inserted += len(inserts)
         # deletions target the streamed facts only (the base stays the
         # trained bedrock); updates may hit stream and base alike
-        n_deletes = int(round(delete_fraction * len(inserts)))
+        n_deletes = int(round(delete_fraction * inserted)) - deleted
         n_deletes = min(n_deletes, max(len(streamed_live) - 1, 0))
         doomed: set[int] = set()
         if n_deletes:
             ordered = sorted(streamed_live)
             picks = generator.choice(len(ordered), size=n_deletes, replace=False)
             doomed = {ordered[int(p)] for p in picks}
-        n_updates = int(round(update_fraction * len(inserts)))
+        deleted += len(doomed)
+        n_updates = int(round(update_fraction * inserted)) - updated_total
         updated = 0
         if n_updates:
             candidates = [fid for fid in sorted(state) if fid not in doomed]
@@ -346,6 +344,7 @@ def churn_feed(
                 state[new_fact.fact_id] = new_fact
                 ops.append(ChangeOp("update", new_fact))
                 updated += 1
+        updated_total += updated
         for fid in sorted(doomed):
             streamed_live.discard(fid)
             fact = state.pop(fid, None) or streamed_facts[fid]

@@ -103,7 +103,6 @@ def run_throughput_ladder(
     insert_ratio: float = 0.1,
     seed: int = 0,
     config: ForwardConfig | None = None,
-    workers: int = 0,
     progress: "Callable[[str], None] | None" = None,
 ) -> dict:
     """Climb the ladder and return the versioned payload.
@@ -141,7 +140,6 @@ def run_throughput_ladder(
             group_size=spec["group_size"],
             config=config,
             verify=True,
-            workers=workers,
         )
         attempts = [
             run_streaming_replay(**common) for _ in range(LADDER_ATTEMPTS)
@@ -202,7 +200,6 @@ def run_throughput_ladder(
         "insert_ratio": insert_ratio,
         "seed": seed,
         "policy": "recompute",
-        "workers": int(workers),
         "profile": "full" if full else "reduced",
         "baseline": {
             "facts_per_second": BASELINE_FACTS_PER_SECOND,

@@ -30,8 +30,7 @@ Run from the unified command line::
     python -m repro replay --dataset mondial --ops insert,delete,update
 
 and a ``BENCH_streaming.json`` with throughput and latency statistics is
-written next to the current working directory.  (The historical entry point
-``python -m repro.service.replay`` still works as a deprecation shim.)
+written next to the current working directory.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ from repro.datasets import load_dataset
 from repro.db.database import Database
 from repro.dynamic.partition import partition_dataset
 from repro.engine import WalkEngine
-from repro.evaluation.timing import latency_summary
-from repro.obs import Telemetry, observability_report
+from repro.obs import Telemetry, latency_summary, observability_report
 from repro.service.feed import OP_KINDS, ChangeFeed, churn_feed, partition_feed
 from repro.service.service import EmbeddingService
 
@@ -79,7 +77,6 @@ def run_streaming_replay(
     delete_fraction: float = 0.15,
     update_fraction: float = 0.15,
     telemetry: Telemetry | None = None,
-    workers: int = 0,
 ) -> dict:
     """Replay one dataset's change stream through an embedding service.
 
@@ -94,9 +91,6 @@ def run_streaming_replay(
     and the report gains an ``"observability"`` block — the per-stage apply
     breakdown and engine cache hit ratios of
     :func:`repro.obs.observability_report`.
-
-    ``workers`` sizes the process pool of the recompute solve stage (0/1 =
-    in-process); any value yields byte-identical embeddings.
     """
     config = config or DEFAULT_CONFIG
     ops = tuple(ops)
@@ -133,7 +127,7 @@ def run_streaming_replay(
         )
     service = EmbeddingService(
         model, partition.db, engine=engine, policy=policy, seed=seed,
-        telemetry=telemetry, workers=workers,
+        telemetry=telemetry,
     )
     outcomes = service.sync(feed)
     stats = service.stats(feed)
@@ -148,7 +142,6 @@ def run_streaming_replay(
         "insert_ratio": insert_ratio,
         "policy": policy,
         "ops": list(ops),
-        "workers": int(workers),
         "feed_batches": len(feed),
         "feed_facts": feed.num_facts,
         "feed_ops": feed.num_ops,
@@ -299,21 +292,3 @@ def render_report(report: dict) -> str:
         )
     return "\n".join(lines)
 
-
-def main(argv: list[str] | None = None) -> int:
-    """Deprecated CLI shim: forwards to ``python -m repro replay``."""
-    import warnings
-
-    warnings.warn(
-        "python -m repro.service.replay is deprecated; use "
-        "`python -m repro replay` (same flags, plus --config)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.cli.replay import run as run_replay
-
-    return run_replay(argv)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -147,11 +147,6 @@ class EmbeddingService:
         engine sync → embed → store commit stages), counters/gauges/latency
         histograms are recorded, and the bundle is propagated to the walk
         engine and the store.  The default is the shared no-op bundle.
-    workers:
-        Process-pool size for the re-extension solve stage under the
-        ``recompute`` policy (0/1 = in-process, the default).  Results are
-        byte-identical to the serial path for any value — see
-        :mod:`repro.engine.parallel` for the determinism contract.
     index, index_params:
         kNN index choice forwarded to the :class:`EmbeddingStore` the
         service creates when ``store`` is None (``"exact"`` default;
@@ -170,7 +165,6 @@ class EmbeddingService:
         seed: int = 0,
         retain_versions: int | None = 16,
         telemetry: Telemetry | None = None,
-        workers: int = 0,
         index: str = "exact",
         index_params: Mapping | None = None,
     ):
@@ -229,10 +223,8 @@ class EmbeddingService:
         self.policy = policy
         self.retain_versions = retain_versions
         self._seed = seed
-        self.workers = int(workers)
         embedder.configure_extension(
-            recompute_old_paths=(policy == "recompute"), rng=seed,
-            workers=self.workers,
+            recompute_old_paths=(policy == "recompute"), rng=seed
         )
         prime = getattr(embedder, "prime_extension", None)
         if prime is not None:

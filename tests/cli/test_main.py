@@ -79,6 +79,18 @@ def test_bad_method_spec_is_actionable(tiny_csv_dir, tmp_path, capsys):
     assert "unknown embedding method" in err and "forward" in err
 
 
+def test_method_spec_conflicting_with_hyper_flags_is_rejected(
+    tiny_csv_dir, tmp_path, capsys
+):
+    code = main([
+        "ingest", str(tiny_csv_dir), "--out", str(tmp_path / "o"),
+        "--relation", "TARGET", "--method", "forward", "--dimension", "64",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--method supersedes" in err and "dimension" in err
+
+
 class TestEmbedSubcommand:
     def test_embed_dataset_writes_versioned_npz(self, tmp_path, capsys):
         out = tmp_path / "emb.npz"

@@ -1,4 +1,4 @@
-"""The ``python -m repro.io.ingest`` command line, run in-process."""
+"""The ``python -m repro ingest`` command line, run in-process."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 from repro.core import load_forward_model
 from repro.core.persistence import load_embedding
 from repro.db.serialization import load_database_json
-from repro.io.ingest import run
+from repro.cli.ingest import run
 
 
 def test_ingest_only(tmp_path, mondial_csv_dir, capsys):

@@ -90,11 +90,6 @@ class TestLatencySummary:
         assert summary["count"] == 0
         assert summary["p99_seconds"] == 0.0
 
-    def test_shim_reexports_the_same_function(self):
-        from repro.evaluation import timing
-
-        assert timing.latency_summary is latency_summary
-
     def test_bench_field_names_are_stable(self):
         summary = latency_summary([0.1, 0.2])
         assert set(summary) == {

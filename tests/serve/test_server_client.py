@@ -1,9 +1,13 @@
 """Tests for the HTTP front end and its client, on an ephemeral port."""
 
+import socket
+import time
+
 import numpy as np
 import pytest
 
 from repro.serve import EmbeddingServer, ServeClient, ServeError
+from repro.serve.server import MAX_BODY_BYTES
 
 
 @pytest.fixture
@@ -84,6 +88,47 @@ class TestErrors:
         with pytest.raises(ServeError) as excinfo:
             client.knn("not-a-fact-id")
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("-1", 400), ("abc", 400), (str(MAX_BODY_BYTES + 1), 413), ("99999999", 413)],
+    )
+    def test_bad_content_length_is_refused_unread(self, served, length, status):
+        server, _ = served
+        start = time.monotonic()
+        with socket.create_connection((server.host, server.port), timeout=2) as sock:
+            sock.sendall(
+                f"POST /fetch HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            response = b""
+            # the server answers without waiting for a body, then closes
+            while chunk := sock.recv(4096):
+                response += chunk
+        assert time.monotonic() - start < 2.0
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close" in head
+        assert b"error" in body
+
+    @pytest.mark.parametrize(
+        "method, call",
+        [("fetch", lambda c: c.fetch([1])), ("stats", lambda c: c.stats())],
+    )
+    def test_internal_errors_hide_the_exception_text(
+        self, served, backend, monkeypatch, method, call
+    ):
+        _, client = served
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("secret /etc/path")
+
+        monkeypatch.setattr(backend, method, boom)
+        with pytest.raises(ServeError) as excinfo:
+            call(client)
+        assert excinfo.value.status == 500
+        assert "secret" not in str(excinfo.value)
+        assert "internal error" in str(excinfo.value)
 
 
 class TestPinningOverHTTP:

@@ -12,7 +12,7 @@ import pytest
 from repro.core.forward import ForwardEmbedder
 from repro.dynamic import partition_dataset
 from repro.engine import WalkEngine
-from repro.evaluation.timing import latency_summary
+from repro.obs import latency_summary
 from repro.service import (
     ChangeOp,
     EmbeddingService,
@@ -125,6 +125,35 @@ class TestStoreTombstones:
         assert facts[0].fact_id not in restored.head
         assert restored.head.num_facts == store.head.num_facts
         assert restored.has_batch("del")
+
+
+class TestChurnFeedCounts:
+    def test_single_cascade_groups_carry_the_remainder(self, small_genes_dataset):
+        partition = partition_dataset(small_genes_dataset, ratio_new=0.25, rng=SEED)
+        feed = churn_feed(
+            partition, group_size=1, delete_fraction=0.15, update_fraction=0.15, rng=SEED
+        )
+        inserted = deleted = updated = 0
+        for batch in feed:
+            inserted += len(batch.inserts)
+            deleted += len(batch.deletes)
+            updated += len(batch.updates)
+            assert deleted == round(0.15 * inserted)
+            assert updated == round(0.15 * inserted)
+        assert deleted > 0
+
+    def test_default_churn_replay_deletes_and_updates(self, tmp_path):
+        import json
+
+        from repro.cli.main import main
+
+        out = tmp_path / "churn.json"
+        assert main([
+            "replay", "--ops", "insert,delete,update", "--dimension", "4",
+            "--epochs", "1", "--no-verify", "--output", str(out),
+        ]) == 0
+        report = json.loads(out.read_text())
+        assert report["facts_deleted"] > 0 and report["facts_updated"] > 0
 
 
 class TestChurnService:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dynamic import partition_dataset
-from repro.service import ChangeFeed, UpdateLog, partition_feed
+from repro.service import ChangeFeed, partition_feed
 
 
 class TestChangeFeed:
@@ -27,9 +27,6 @@ class TestChangeFeed:
         feed.append(facts[:1], batch_id="x")
         with pytest.raises(ValueError):
             feed.append(facts[1:2], batch_id="x")
-
-    def test_update_log_alias(self):
-        assert UpdateLog is ChangeFeed
 
 
 class TestPartitionFeed:

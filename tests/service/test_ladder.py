@@ -78,7 +78,6 @@ def _payload():
         "insert_ratio": 0.1,
         "seed": 0,
         "policy": "recompute",
-        "workers": 0,
         "profile": "reduced",
         "baseline": {
             "facts_per_second": BASELINE_FACTS_PER_SECOND,
