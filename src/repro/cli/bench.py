@@ -2,7 +2,6 @@
 
 ::
 
-    python -m repro bench streaming --out results/
     python -m repro bench load --transport http --clients 128
     python -m repro bench knn --out results/
 
@@ -10,7 +9,9 @@ Runs one of the named benchmark suites at a reduced scale and writes its
 ``BENCH_*.json`` artifact (stamped with ``repro.__version__``) into the
 output directory.  ``--list`` shows the suites.  The full paper-scale
 harness remains ``python -m pytest benchmarks -q`` (see ``benchmarks/``);
-this subcommand covers the quick, CI-sized runs.
+this subcommand covers the quick, CI-sized runs.  Streaming throughput is
+timed by ``perfbench/`` (see ``perfbench/README.md``), and a single
+streaming run with its one-shot check is ``python -m repro replay``.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from repro.cli.common import (
 )
 
 SUITES = {
-    "streaming": "Mondial insert stream through the live embedding service "
-    "(throughput, latency, one-shot verification) -> BENCH_streaming.json",
     "load": "Concurrent serve-tier load test: zipfian readers vs one churn "
     "writer (qps, per-kind p50/p99, staleness, pinned bit-identity) "
     "-> BENCH_load.json",
@@ -44,7 +43,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("suite", nargs="?", choices=tuple(SUITES),
                         help="benchmark suite to run")
     parser.add_argument("--list", action="store_true", help="list the available suites")
-    parser.add_argument("--dataset", default="mondial", help="dataset for the streaming suite")
+    parser.add_argument("--dataset", default="mondial", help="bundled dataset name")
     parser.add_argument("--scale", type=float, default=0.15, help="dataset generation scale")
     parser.add_argument("--insert-ratio", type=float, default=0.1)
     parser.add_argument("--out", default=".", help="output directory for BENCH_*.json")
@@ -83,46 +82,11 @@ def execute(args: argparse.Namespace) -> int:
         for name, summary in SUITES.items():
             print(f"{name:<12}{summary}")
         return 0 if args.list else 2
-    if args.suite == "streaming":
-        return _run_streaming(args)
     if args.suite == "load":
         return _run_load(args)
     if args.suite == "knn":
         return _run_knn(args)
     raise CLIError(f"unknown suite {args.suite!r}")  # pragma: no cover - argparse guards
-
-
-def _run_streaming(args: argparse.Namespace) -> int:
-    from repro.core.config import ForwardConfig
-    from repro.service.replay import render_report, run_streaming_replay
-
-    # Tiny hyper-parameters: the benchmark measures the serving layer, not
-    # embedding quality (mirrors benchmarks/bench_streaming_service.py).
-    config = ForwardConfig(
-        dimension=16, n_samples=400, batch_size=1024, max_walk_length=2,
-        epochs=4, learning_rate=0.02, n_new_samples=30,
-    )
-    telemetry = telemetry_from_args(args)
-    try:
-        report = run_streaming_replay(
-            args.dataset,
-            insert_ratio=args.insert_ratio,
-            scale=args.scale,
-            seed=args.seed,
-            policy="recompute",
-            config=config,
-            telemetry=telemetry,
-        )
-    except KeyError as error:
-        raise CLIError(str(error.args[0])) from None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "BENCH_streaming.json"
-    path.write_text(json.dumps(report, indent=2))
-    export_observability(telemetry, args, report.get("total_apply_seconds"))
-    print(render_report(report))
-    print(f"\nReport written to {path}")
-    return 0 if report.get("verified_against_one_shot", True) else 1
 
 
 def _run_load(args: argparse.Namespace) -> int:

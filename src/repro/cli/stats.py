@@ -12,15 +12,12 @@ latency histogram percentiles, and the raw counters/gauges.  With
 ``--trace`` it additionally summarizes a span trace — JSONL traces are
 aggregated per span name; Chrome traces are recognised and counted.
 
-``BENCH_*.json`` files are accepted in place of a metrics payload:
-``BENCH_load.json`` (the serve-tier load test, ``kind`` ``"load_test"``,
-rendered by :func:`repro.serve.loadgen.render_load`), ``BENCH_knn.json``
-(the kNN index ladder, ``kind`` ``"knn_bench"``, rendered by
-:func:`repro.index.bench.render_knn`) and ``BENCH_streaming.json`` in both
-of its formats — the throughput-ladder payload (``rungs`` list, rendered
-as the per-rung floor/speedup table of
-:func:`repro.service.ladder.render_ladder`) and the old single-run replay
-report that ``python -m repro bench`` still writes.
+``BENCH_*.json`` files are accepted in place of a metrics payload and
+rendered by their ``kind`` through
+:data:`repro.cli.artifacts.ARTIFACT_KINDS`: ``load_test``
+(``BENCH_load.json``), ``knn_bench`` (``BENCH_knn.json``) and ``replay``
+(the report of ``python -m repro replay``).  A payload without a registered
+kind is rendered as metrics.
 
 No recomputation happens here: the artifacts are self-contained, so the
 subcommand works on files copied off a CI run or another machine.
@@ -158,24 +155,14 @@ def render_trace(path: Path) -> str:
 
 
 def render_payload(payload: dict) -> str:
-    """Dispatch on payload shape: load test, ladder, single-run, or metrics."""
-    if payload.get("kind") == "load_test":
-        from repro.serve.loadgen import render_load
+    """Render a BENCH artifact by its ``kind``; anything else as metrics."""
+    from repro.cli.artifacts import ARTIFACT_KINDS, artifact_kind
 
-        return render_load(payload)
-    if payload.get("kind") == "knn_bench":
-        from repro.index.bench import render_knn
-
-        return render_knn(payload)
-    if "rungs" in payload:
-        from repro.service.ladder import render_ladder
-
-        return render_ladder(payload)
-    if "facts_per_second" in payload:
-        from repro.service.replay import render_report
-
-        return render_report(payload)
-    return render_metrics(payload)
+    kind = artifact_kind(payload)
+    if kind is None:
+        return render_metrics(payload)
+    _, render = ARTIFACT_KINDS[kind]
+    return render(payload)
 
 
 def execute(args: argparse.Namespace) -> int:

@@ -21,8 +21,9 @@ this module.  One run climbs a ladder of Mondial replication rungs (scale
 
 Floors ride in the payload (recall >= 0.95 on every rung; per-rung speedup
 floors, 5x at the 4x-Mondial rung) and are enforced by :func:`check_knn`,
-so a stored ``BENCH_knn.json`` re-validates offline via
-``tools/check_obs_artifacts.py`` and renders via ``python -m repro stats``.
+the kind's entry in :data:`repro.cli.artifacts.ARTIFACT_KINDS`, so a stored
+``BENCH_knn.json`` re-validates offline via ``tools/check_obs_artifacts.py``
+and renders via ``python -m repro stats``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.obs import Telemetry, latency_summary
+from repro.obs import Telemetry, latency_summary, missing_latency_fields
 from repro.service.store import EmbeddingStore
 
 KNN_SCHEMA_VERSION = 1
@@ -250,9 +251,9 @@ def run_knn_bench(
 def check_knn(payload: dict) -> list[str]:
     """Validate a kNN bench payload; returns human-readable violations.
 
-    Enforces the schema shape, per-rung latency coverage for both indexes,
-    the recall@k floor (on the mean) and every rung's speedup floor.  An
-    empty list means the artifact passes.
+    Enforces the schema shape, per-rung latency coverage for both indexes
+    (every stable latency field), the recall@k floor (on the mean) and
+    every rung's speedup floor.  An empty list means the artifact passes.
     """
     problems: list[str] = []
     if payload.get("kind") != KNN_KIND:
@@ -271,12 +272,14 @@ def check_knn(payload: dict) -> list[str]:
             problems.append(f"scale {scale}: no queries were measured")
             continue
         for index in ("exact", "ivf"):
-            latency = (rung.get(index) or {}).get("latency") or {}
-            for field in ("count", "mean_seconds", "p50_seconds", "p99_seconds"):
-                if field not in latency:
-                    problems.append(
-                        f"scale {scale}: {index} latency summary is missing {field}"
-                    )
+            entry = rung.get(index)
+            missing = missing_latency_fields(
+                entry.get("latency") if isinstance(entry, dict) else None
+            )
+            if missing:
+                problems.append(
+                    f"scale {scale}: {index} latency summary is missing {missing}"
+                )
         recall = rung.get("recall") or {}
         if recall.get("mean", 0.0) < recall.get("floor", RECALL_FLOOR):
             problems.append(
@@ -284,9 +287,11 @@ def check_knn(payload: dict) -> list[str]:
                 f"{recall.get('mean', 0.0):.3f} is below the floor of "
                 f"{recall.get('floor', RECALL_FLOOR)}"
             )
-        if rung.get("speedup", 0.0) < rung.get("speedup_floor", 0.0):
+        if not isinstance(rung.get("speedup"), (int, float)):
+            problems.append(f"scale {scale}: speedup is not numeric")
+        elif rung["speedup"] < rung.get("speedup_floor", 0.0):
             problems.append(
-                f"scale {scale}: speedup {rung.get('speedup', 0.0):.2f}x is below "
+                f"scale {scale}: speedup {rung['speedup']:.2f}x is below "
                 f"the floor of {rung.get('speedup_floor', 0.0):.1f}x"
             )
     return problems

@@ -31,8 +31,10 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    LATENCY_FIELDS,
     MetricsRegistry,
     latency_summary,
+    missing_latency_fields,
 )
 from repro.obs.profiler import StageProfiler
 from repro.obs.report import (
@@ -54,6 +56,7 @@ __all__ = [
     "ENGINE_CACHE_KINDS",
     "Gauge",
     "Histogram",
+    "LATENCY_FIELDS",
     "MetricsRegistry",
     "NULL_TELEMETRY",
     "PIPELINE_STAGES",
@@ -67,6 +70,7 @@ __all__ = [
     "latency_summary",
     "load_jsonl",
     "metrics_payload",
+    "missing_latency_fields",
     "observability_report",
     "pipeline_breakdown",
     "serve_endpoint_latencies",

@@ -17,8 +17,7 @@ Three instrument kinds cover everything the serving/engine layers need:
   are computed over a bounded reservoir (uniform reservoir sampling once
   the capacity is exceeded — exact below it) through
   :func:`latency_summary`, the repository's **single** percentile
-  implementation, which moved here from ``repro.evaluation.timing`` (that
-  module re-exports it unchanged).
+  implementation.
 
 A registry constructed with ``enabled=False`` (what
 :data:`repro.obs.NULL_TELEMETRY` carries) hands out shared no-op
@@ -33,6 +32,20 @@ import threading
 from typing import Sequence
 
 import numpy as np
+
+
+#: The keys every :func:`latency_summary` carries: the stable latency
+#: fields each ``BENCH_*.json`` latency block is checked for.
+LATENCY_FIELDS = frozenset({
+    "count", "mean_seconds", "p50_seconds", "p95_seconds",
+    "p99_seconds", "max_seconds",
+})
+
+
+def missing_latency_fields(summary: object) -> list[str]:
+    """The stable latency fields ``summary`` lacks (all, if not a dict)."""
+    present = summary if isinstance(summary, dict) else ()
+    return sorted(LATENCY_FIELDS.difference(present))
 
 
 def latency_summary(seconds: Sequence[float]) -> dict[str, float]:

@@ -31,9 +31,10 @@ The result is one versioned JSON payload (``schema_version`` 1, ``kind``
 ``"load_test"``, written to ``benchmarks/results/BENCH_load.json`` by the
 benchmark) reporting qps, per-kind p50/p99 latency, staleness
 (served-version lag behind the writer head) and the verification outcome.
-Like the throughput ladder, floors are recorded in the payload and enforced
-by :func:`check_load`, so a stored artifact re-validates offline
-(``tools/check_obs_artifacts.py``) and renders via ``python -m repro stats``.
+Floors are recorded in the payload and enforced by :func:`check_load`, the
+kind's entry in :data:`repro.cli.artifacts.ARTIFACT_KINDS`, so a stored
+artifact re-validates offline (``tools/check_obs_artifacts.py``) and renders
+via ``python -m repro stats``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from repro.core.forward import ForwardEmbedder
 from repro.datasets import load_dataset
 from repro.dynamic.partition import partition_dataset
 from repro.engine import WalkEngine
-from repro.obs import Telemetry, latency_summary
+from repro.obs import Telemetry, latency_summary, missing_latency_fields
 from repro.serve.backend import LocalBackend
 from repro.serve.client import ServeClient
 from repro.serve.router import SnapshotRouter
@@ -472,9 +473,11 @@ def check_load(payload: dict) -> list[str]:
     """Validate a load-test payload; returns human-readable violations.
 
     Enforces the schema shape, the ≥64-client requirement, the qps floor,
-    per-kind latency coverage, pinned bit-identity (exact 0.0), monotonic
-    version observation, and that commits genuinely overlapped the reads.
-    An empty list means the artifact passes.
+    per-kind latency coverage (every stable latency field), pinned
+    bit-identity (exact 0.0), monotonic version observation, that commits
+    genuinely overlapped the reads, and that the writer really deleted and
+    updated whenever the profile asks for churn.  An empty list means the
+    artifact passes.
     """
     problems: list[str] = []
     if payload.get("kind") != LOAD_KIND:
@@ -489,9 +492,11 @@ def check_load(payload: dict) -> list[str]:
         problems.append(
             f"only {profile.get('clients', 0)} simulated clients; need >= 64"
         )
-    qps = payload.get("qps", 0.0)
+    qps = payload.get("qps")
     floor = payload.get("qps_floor", 0.0)
-    if qps < floor:
+    if not isinstance(qps, (int, float)):
+        problems.append(f"qps {qps!r} is not numeric")
+    elif qps < floor:
         problems.append(f"qps {qps:.1f} is below the floor of {floor:.1f}")
     per_kind = payload.get("per_kind") or {}
     for kind in QUERY_KINDS:
@@ -499,10 +504,9 @@ def check_load(payload: dict) -> list[str]:
         if entry.get("count", 0) < 1:
             problems.append(f"no {kind} queries were issued")
             continue
-        latency = entry.get("latency") or {}
-        for percentile in ("p50_seconds", "p99_seconds"):
-            if percentile not in latency:
-                problems.append(f"{kind} latency summary is missing {percentile}")
+        missing = missing_latency_fields(entry.get("latency"))
+        if missing:
+            problems.append(f"{kind} latency summary is missing {missing}")
     verification = payload.get("pinned_verification") or {}
     if not verification.get("bit_identical"):
         problems.append(
@@ -527,6 +531,11 @@ def check_load(payload: dict) -> list[str]:
         problems.append("writer committed fewer than 2 store versions")
     if writer.get("commits_during_load", 0) < 1:
         problems.append("no store commit overlapped the read window")
+    for op, fraction in (("deleted", "delete_fraction"), ("updated", "update_fraction")):
+        if profile.get(fraction, 0.0) > 0 and writer.get(f"facts_{op}", 0) < 1:
+            problems.append(
+                f"{fraction} is {profile[fraction]} but the writer {op} no facts"
+            )
     if "staleness" not in payload:
         problems.append("payload has no staleness block")
     return problems

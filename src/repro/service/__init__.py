@@ -17,10 +17,7 @@ jobs.  This package turns that machinery into a long-lived *service*:
   is wrapped on the spot), applies feed batches and commits one store
   version per batch;
 * :mod:`repro.service.replay` — the streaming scenario driver behind
-  ``python -m repro replay``;
-* :mod:`repro.service.ladder` — the throughput-ladder perf-regression
-  harness: the same replay at increasing dataset scales, with asserted
-  throughput floors and exactness bars per rung.
+  ``python -m repro replay``.
 """
 
 from repro.service.feed import (
@@ -29,12 +26,6 @@ from repro.service.feed import (
     ChangeOp,
     churn_feed,
     partition_feed,
-)
-from repro.service.ladder import (
-    check_ladder,
-    is_ladder_payload,
-    render_ladder,
-    run_throughput_ladder,
 )
 from repro.service.service import ApplyOutcome, EmbeddingService, ServiceStats
 from repro.service.store import EmbeddingStore, StoreSnapshot
@@ -48,10 +39,6 @@ __all__ = [
     "EmbeddingStore",
     "ServiceStats",
     "StoreSnapshot",
-    "check_ladder",
     "churn_feed",
-    "is_ladder_payload",
     "partition_feed",
-    "render_ladder",
-    "run_throughput_ladder",
 ]

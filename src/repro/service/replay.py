@@ -30,7 +30,10 @@ Run from the unified command line::
     python -m repro replay --dataset mondial --ops insert,delete,update
 
 and a ``BENCH_streaming.json`` with throughput and latency statistics is
-written next to the current working directory.
+written next to the current working directory.  The report is a versioned
+artifact (``kind`` ``"replay"``, ``schema_version`` 1): :func:`check_report`
+re-validates a stored one offline and :func:`render_report` prints it, the
+kind's pair in :data:`repro.cli.artifacts.ARTIFACT_KINDS`.
 """
 
 from __future__ import annotations
@@ -46,11 +49,19 @@ from repro.datasets import load_dataset
 from repro.db.database import Database
 from repro.dynamic.partition import partition_dataset
 from repro.engine import WalkEngine
-from repro.obs import Telemetry, latency_summary, observability_report
+from repro.obs import (
+    Telemetry,
+    latency_summary,
+    missing_latency_fields,
+    observability_report,
+)
 from repro.service.feed import OP_KINDS, ChangeFeed, churn_feed, partition_feed
 from repro.service.service import EmbeddingService
 
 VERIFY_TOLERANCE = 1e-9
+
+REPLAY_SCHEMA_VERSION = 1
+REPLAY_KIND = "replay"
 
 #: Hyper-parameters sized so the replay finishes in minutes on a laptop CPU.
 DEFAULT_CONFIG = ForwardConfig(
@@ -135,6 +146,8 @@ def run_streaming_replay(
     from repro import __version__
 
     report: dict = {
+        "schema_version": REPLAY_SCHEMA_VERSION,
+        "kind": REPLAY_KIND,
         "repro_version": __version__,
         "dataset": dataset_name,
         "scale": scale,
@@ -261,6 +274,41 @@ def _one_shot_max_difference(
         streamed = head.vector(fact_id)
         max_diff = max(max_diff, float(np.max(np.abs(one_shot - streamed))))
     return max_diff
+
+
+def check_report(report: dict) -> list[str]:
+    """Validate a replay report; returns human-readable violations.
+
+    Enforces the schema shape, the stable latency fields, a recorded
+    one-shot difference within :data:`VERIFY_TOLERANCE` (a report of a run
+    without verification records none), and that no deleted fact is left
+    in the head store.  An empty list means the artifact passes.
+    """
+    problems: list[str] = []
+    if report.get("kind") != REPLAY_KIND:
+        problems.append(f"kind is {report.get('kind')!r}, expected {REPLAY_KIND!r}")
+    if report.get("schema_version") != REPLAY_SCHEMA_VERSION:
+        problems.append(
+            f"schema_version is {report.get('schema_version')!r}, "
+            f"expected {REPLAY_SCHEMA_VERSION}"
+        )
+    for field in ("repro_version", "dataset", "facts_per_second"):
+        if field not in report:
+            problems.append(f"report lacks {field!r}")
+    missing = missing_latency_fields(report.get("latency"))
+    if missing:
+        problems.append(f"latency summary is missing {missing}")
+    diff = report.get("one_shot_max_abs_diff", 0.0)
+    if not (isinstance(diff, (int, float)) and diff <= VERIFY_TOLERANCE):
+        problems.append(
+            f"one-shot difference {diff!r} exceeds the tolerance {VERIFY_TOLERANCE:.0e}"
+        )
+    if report.get("deleted_facts_absent_from_store") is False:
+        problems.append(
+            f"{report.get('deleted_facts_leaked')} deleted facts are still in "
+            "the head store"
+        )
+    return problems
 
 
 def render_report(report: dict) -> str:

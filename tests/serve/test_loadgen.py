@@ -174,9 +174,30 @@ class TestCheckLoad:
             (lambda p: p["per_kind"].pop("knn"), "no knn queries"),
             (lambda p: p.update(kind="other"), "kind"),
             (lambda p: p.update(reader_errors=["boom"]), "reader errors"),
+            (lambda p: p.update(qps="fast"), "not numeric"),
+            (lambda p: p["per_kind"]["fetch"]["latency"].pop("p95_seconds"),
+             "fetch latency summary is missing ['p95_seconds']"),
+            (lambda p: p["per_kind"]["slice"].pop("latency"),
+             "slice latency summary is missing"),
         ],
     )
     def test_each_bar_is_enforced(self, clean, mutate, needle):
         mutate(clean)
         problems = check_load(clean)
         assert any(needle in problem for problem in problems), problems
+
+    def test_churn_profile_requires_real_deletes_and_updates(self, clean):
+        clean["profile"].update(delete_fraction=0.2, update_fraction=0.2)
+        clean["writer"].update(facts_deleted=0, facts_updated=0)
+        problems = check_load(clean)
+        assert any("writer deleted no facts" in p for p in problems), problems
+        assert any("writer updated no facts" in p for p in problems), problems
+        clean["writer"].update(facts_deleted=1)
+        assert [p for p in check_load(clean) if "deleted" in p] == []
+        clean["writer"].update(facts_updated=1)
+        assert check_load(clean) == []
+
+    def test_insert_only_profile_needs_no_churn(self, clean):
+        clean["profile"].update(delete_fraction=0.0, update_fraction=0.0)
+        clean["writer"].update(facts_deleted=0, facts_updated=0)
+        assert check_load(clean) == []

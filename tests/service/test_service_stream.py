@@ -9,11 +9,13 @@ the ``recompute`` policy converges to *exactly* what a one-shot
 import numpy as np
 import pytest
 
+from repro.core.config import ForwardConfig
 from repro.core.forward import ForwardEmbedder
 from repro.core.forward_dynamic import ForwardDynamicExtender
 from repro.dynamic import partition_dataset
 from repro.engine import WalkEngine
 from repro.service import EmbeddingService, EmbeddingStore, partition_feed
+from repro.service.replay import VERIFY_TOLERANCE, run_streaming_replay
 
 SEED = 11
 
@@ -82,6 +84,48 @@ class TestStreamingEqualsOneShot:
         assert set(a.fact_ids) == set(b.fact_ids)
         for fid in a.fact_ids:
             np.testing.assert_allclose(a.vector(fid), b.vector(fid), atol=1e-9, rtol=0)
+
+
+#: The smallest model the replay pipeline trains: the Mondial exactness
+#: bars below measure the streaming path, not embedding quality.
+TINY_CONFIG = ForwardConfig(
+    dimension=16, n_samples=400, batch_size=1024, max_walk_length=2, epochs=4,
+    learning_rate=0.02, n_new_samples=30,
+)
+
+CHURN_TOLERANCE = 1e-12
+
+
+class TestMondialReplayExactness:
+    """Full replays on Mondial: insert-only to 1e-9, full-CRUD churn to 1e-12.
+
+    Each scale runs with its commit window (None = the feed's ~8 batches
+    per stream).  The churn leg's delete/update fractions are high enough
+    that even these short streams delete and update, so the one-shot check
+    covers the invalidation paths.
+    """
+
+    @pytest.mark.parametrize("scale, group_size", [(0.15, None), (0.3, 3)])
+    def test_streamed_and_churned_replays_match_one_shot(self, scale, group_size):
+        common = dict(
+            insert_ratio=0.1, scale=scale, seed=0, policy="recompute",
+            config=TINY_CONFIG, verify=True,
+        )
+        inserts = run_streaming_replay("mondial", group_size=group_size, **common)
+        assert inserts["verified_against_one_shot"]
+        assert inserts["one_shot_max_abs_diff"] <= VERIFY_TOLERANCE
+        assert inserts["feed_lag"] == 0 and inserts["version_skew"] == 0
+        assert inserts["store_versions_committed"] >= 2
+
+        churn = run_streaming_replay(
+            "mondial", group_size=max(2, group_size or 2),
+            ops=("insert", "delete", "update"),
+            delete_fraction=0.35, update_fraction=0.35, **common,
+        )
+        assert churn["verified_against_one_shot"]
+        assert churn["one_shot_max_abs_diff"] <= CHURN_TOLERANCE
+        assert churn["facts_deleted"] > 0 and churn["facts_updated"] > 0
+        assert churn["deleted_facts_absent_from_store"]
 
 
 class TestServiceSemantics:

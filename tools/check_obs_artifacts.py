@@ -26,30 +26,18 @@ Checked for ``--trace`` files (either export flavour):
 * JSONL: one span record per line with ids, timing, depth, and attrs —
   and every non-root ``parent_id`` resolving to another span in the file.
 
-``BENCH_load.json`` artifacts (``kind`` ``"load_test"``) are validated
-against :func:`repro.serve.loadgen.check_load` — schema shape, the qps
-floor, per-kind latency summaries, pinned bit-identity and the
-monotonic-observation bar — plus the stable latency fields per query kind.
-
-``BENCH_knn.json`` artifacts (``kind`` ``"knn_bench"``) are validated
-against :func:`repro.index.bench.check_knn` — schema shape, per-rung
-recall@k and speedup floors — plus the stable latency fields per index.
-
-``BENCH_streaming.json`` artifacts are recognised too, in both formats:
-
-* the throughput-ladder payload (``schema_version`` 2, a ``rungs`` list) is
-  validated against :func:`repro.service.ladder.check_ladder` — schema
-  shape, per-rung throughput floors and both exactness bars — so the CI
-  perf job fails on a floor violation even when the producing run forgot
-  to assert;
-* the old single-run replay report (``python -m repro bench`` still emits
-  it) keeps passing: throughput/latency fields plus, when present, a
-  honoured one-shot verification tolerance.
+``BENCH_*.json`` artifacts are picked by their ``kind`` alone and validated
+by that kind's check in :data:`repro.cli.artifacts.ARTIFACT_KINDS`:
+``load_test`` (:func:`repro.serve.loadgen.check_load`), ``knn_bench``
+(:func:`repro.index.bench.check_knn`) and ``replay``
+(:func:`repro.service.replay.check_report` — the one-shot tolerance the
+run recorded, and no deleted fact left in the store).  A JSON file without
+a registered kind is checked as a metrics payload.
 
 Run from the repository root (CI does)::
 
     python tools/check_obs_artifacts.py metrics.json trace.json
-    python tools/check_obs_artifacts.py benchmarks/results/BENCH_streaming.json
+    python tools/check_obs_artifacts.py BENCH_obs_smoke.json
     python tools/check_obs_artifacts.py benchmarks/results/BENCH_load.json
 
 Exit code 0 when every named artifact is well-formed; 1 with one line per
@@ -62,10 +50,14 @@ import json
 import sys
 from pathlib import Path
 
-LATENCY_FIELDS = {
-    "count", "mean_seconds", "p50_seconds", "p95_seconds",
-    "p99_seconds", "max_seconds",
-}
+try:
+    import repro  # noqa: F401
+except ModuleNotFoundError:  # invoked without PYTHONPATH=src; self-locate
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.cli.artifacts import ARTIFACT_KINDS, artifact_kind  # noqa: E402
+from repro.obs import LATENCY_FIELDS  # noqa: E402
+
 HISTOGRAM_FIELDS = LATENCY_FIELDS | {"sum_seconds", "sampled"}
 METRICS_BLOCKS = {
     "repro_version", "counters", "gauges", "histograms",
@@ -188,90 +180,8 @@ def check_trace(path: Path) -> list[str]:
     return problems
 
 
-def check_ladder_payload(path: Path, payload: dict) -> list[str]:
-    """Violations of one throughput-ladder ``BENCH_streaming.json``."""
-    try:
-        from repro.service.ladder import check_ladder
-    except ModuleNotFoundError:  # invoked without PYTHONPATH=src; self-locate
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-        from repro.service.ladder import check_ladder
-
-    problems = [f"{path}: {problem}" for problem in check_ladder(payload)]
-    for rung in payload.get("rungs", ()):
-        label = f"{path}: rung scale={rung.get('scale')}"
-        latency = rung.get("latency")
-        if not isinstance(latency, dict) or LATENCY_FIELDS - latency.keys():
-            problems.append(f"{label}: latency summary lacks the stable fields")
-        if not _number(rung.get("facts_per_second")):
-            problems.append(f"{label}: facts_per_second is not numeric")
-    return problems
-
-
-def check_load_payload(path: Path, payload: dict) -> list[str]:
-    """Violations of one serve-tier ``BENCH_load.json`` (empty = clean)."""
-    try:
-        from repro.serve.loadgen import check_load
-    except ModuleNotFoundError:  # invoked without PYTHONPATH=src; self-locate
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-        from repro.serve.loadgen import check_load
-
-    problems = [f"{path}: {problem}" for problem in check_load(payload)]
-    for kind, entry in payload.get("per_kind", {}).items():
-        latency = entry.get("latency") if isinstance(entry, dict) else None
-        if not isinstance(latency, dict) or LATENCY_FIELDS - latency.keys():
-            problems.append(
-                f"{path}: query kind {kind!r} latency summary lacks the "
-                "stable fields"
-            )
-    if not _number(payload.get("qps")):
-        problems.append(f"{path}: qps is not numeric")
-    return problems
-
-
-def check_knn_payload(path: Path, payload: dict) -> list[str]:
-    """Violations of one kNN index ladder ``BENCH_knn.json`` (empty = clean)."""
-    try:
-        from repro.index.bench import check_knn
-    except ModuleNotFoundError:  # invoked without PYTHONPATH=src; self-locate
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-        from repro.index.bench import check_knn
-
-    problems = [f"{path}: {problem}" for problem in check_knn(payload)]
-    for rung in payload.get("rungs", ()):
-        label = f"{path}: rung scale={rung.get('scale')}"
-        for index in ("exact", "ivf"):
-            entry = rung.get(index)
-            latency = entry.get("latency") if isinstance(entry, dict) else None
-            if not isinstance(latency, dict) or LATENCY_FIELDS - latency.keys():
-                problems.append(
-                    f"{label}: {index} latency summary lacks the stable fields"
-                )
-        if not _number(rung.get("speedup")):
-            problems.append(f"{label}: speedup is not numeric")
-    return problems
-
-
-def check_single_run_payload(path: Path, payload: dict) -> list[str]:
-    """Violations of one old-format (single-run) ``BENCH_streaming.json``."""
-    problems: list[str] = []
-    for field in ("repro_version", "dataset", "facts_per_second", "latency"):
-        if field not in payload:
-            problems.append(f"{path}: single-run report lacks {field!r}")
-    latency = payload.get("latency")
-    if isinstance(latency, dict) and LATENCY_FIELDS - latency.keys():
-        problems.append(f"{path}: latency summary lacks the stable fields")
-    diff = payload.get("one_shot_max_abs_diff")
-    tolerance = payload.get("one_shot_tolerance")
-    if diff is not None and _number(tolerance) and diff > tolerance:
-        problems.append(
-            f"{path}: one-shot difference {diff:.2e} exceeds the recorded "
-            f"tolerance {tolerance:.0e}"
-        )
-    return problems
-
-
 def check_artifact(path: Path) -> list[str]:
-    """Dispatch on content: metrics, trace, or benchmark-report files."""
+    """Dispatch: traces, BENCH artifacts by ``kind``, else metrics."""
     if not path.is_file():
         return [f"{path}: no such file"]
     if path.suffix == ".jsonl":
@@ -279,16 +189,11 @@ def check_artifact(path: Path) -> list[str]:
     payload = json.loads(path.read_text(encoding="utf-8"))
     if isinstance(payload, dict) and "traceEvents" in payload:
         return check_trace(path)
-    if isinstance(payload, dict) and payload.get("kind") == "load_test":
-        return check_load_payload(path, payload)
-    # must precede the ladder check: a knn payload also carries a rungs list
-    if isinstance(payload, dict) and payload.get("kind") == "knn_bench":
-        return check_knn_payload(path, payload)
-    if isinstance(payload, dict) and "rungs" in payload:
-        return check_ladder_payload(path, payload)
-    if isinstance(payload, dict) and "facts_per_second" in payload:
-        return check_single_run_payload(path, payload)
-    return check_metrics(path)
+    kind = artifact_kind(payload)
+    if kind is None:
+        return check_metrics(path)
+    check, _ = ARTIFACT_KINDS[kind]
+    return [f"{path}: {problem}" for problem in check(payload)]
 
 
 def main(argv: list[str] | None = None) -> int:
