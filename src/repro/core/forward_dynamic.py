@@ -38,16 +38,15 @@ class _TargetContext:
     """Per-walk-target state shared by every fact of one extension batch.
 
     Holds exactly the quantities :meth:`ForwardDynamicExtender.embed_fact`
-    would recompute per fact: the candidate anchor list, each candidate's
-    distribution as (union positions, probabilities), the new facts'
-    distributions, and — the expensive part — one kernel cross-matrix over
-    the union of *all* candidate supports against the union of *all* new
-    supports, evaluated once per batch instead of once per fact.
+    would recompute per fact: the candidate anchor list, the candidates'
+    distributions as one CSR over the union of their supports (``anchor``),
+    the new facts' distributions, and — the expensive part — the kernel
+    columns of the union against every value of the new supports, evaluated
+    once per batch instead of once per fact.
     """
 
     __slots__ = (
-        "target", "new_dists", "candidates", "supports", "union_index",
-        "kernel_columns", "proj", "anchor",
+        "target", "new_dists", "candidates", "kernel_columns", "proj", "anchor",
     )
 
     def __init__(
@@ -55,8 +54,6 @@ class _TargetContext:
         target: WalkTarget,
         new_dists: list[AttributeDistribution | None],
         candidates: list[int],
-        supports: dict[int, tuple[np.ndarray, np.ndarray]],
-        union_index: dict[Any, int],
         kernel_columns: dict[Any, np.ndarray],
         proj: np.ndarray,
         anchor: "sparse.csr_matrix",
@@ -64,8 +61,6 @@ class _TargetContext:
         self.target = target
         self.new_dists = new_dists
         self.candidates = candidates
-        self.supports = supports
-        self.union_index = union_index
         self.kernel_columns = kernel_columns
         self.proj = proj
         self.anchor = anchor
@@ -73,16 +68,11 @@ class _TargetContext:
     def similarity(self, new_dist: AttributeDistribution) -> np.ndarray:
         """``Σ_v K(union, v)·p_new(v)`` — the union's similarity to one fact.
 
-        Kernel columns are memoised per value across batches and facts (the
-        kernel depends only on the value pair, and the union is struct-keyed),
-        so only first-seen values pay a kernel evaluation.
+        Reads memoised kernel columns only: ``_batch_contexts`` fills one
+        for every value of the batch's new distributions before any
+        equation is assembled.
         """
         columns = self.kernel_columns
-        missing = [value for value in new_dist.values if value not in columns]
-        if missing:
-            block = self.target.kernel.cross_matrix(list(self.union_index), missing)
-            for j, value in enumerate(missing):
-                columns[value] = np.ascontiguousarray(block[:, j])
         stacked = np.stack([columns[value] for value in new_dist.values], axis=1)
         return stacked @ np.asarray(new_dist.probabilities, dtype=np.float64)
 
@@ -130,9 +120,10 @@ class ForwardDynamicExtender:
         self._old_cache: dict[
             int, tuple[tuple, dict[int, AttributeDistribution | None]]
         ] = {}
-        # target index -> (attribute struct signature, candidates, supports,
-        # union index, kernel column cache); the batched pipeline's per-target
-        # anchor context, stable while no existing row changed structurally
+        # target index -> (attribute struct signature, candidates, union
+        # index, kernel column cache, projection rows, anchor CSR); the
+        # batched pipeline's per-target anchor context, stable while no
+        # existing row changed structurally
         self._context_cache: dict[int, tuple] = {}
         # (target index, fact id) -> (attribute struct signature, distribution
         # or None) for *streamed* facts: under pure appends an already
@@ -283,8 +274,11 @@ class ForwardDynamicExtender:
         rows: list[np.ndarray] = []
         rhs: list[np.ndarray] = []
         n_per_target = self.model.config.n_new_samples
-        for target in self.model.targets:
-            new_dist = engine.attribute_distribution(fact, target.scheme, target.attribute)
+        targets = self.model.targets
+        new_dists = engine.attribute_distributions(
+            fact, [(target.scheme, target.attribute) for target in targets]
+        )
+        for target, new_dist in zip(targets, new_dists):
             if new_dist is None:
                 continue
             old_dists = self._old_distributions(target)
@@ -562,10 +556,7 @@ class ForwardDynamicExtender:
             cached = self._context_cache.get(target.index)
             if cached is not None and cached[0] == struct:
                 context_hits.inc()
-                (
-                    _, candidates, supports, union_index, kernel_columns,
-                    proj, anchor,
-                ) = cached
+                _, candidates, union_index, kernel_columns, proj, anchor = cached
             else:
                 context_misses.inc()
                 old_dists = self._old_distributions(target)
@@ -620,8 +611,7 @@ class ForwardDynamicExtender:
                     shape=(len(candidates), len(union_index)),
                 )
                 self._context_cache[target.index] = (
-                    struct, candidates, supports, union_index, kernel_columns,
-                    proj, anchor,
+                    struct, candidates, union_index, kernel_columns, proj, anchor,
                 )
             if not candidates or all(dist is None for dist in new_dists):
                 # the serial path would `continue` on every fact (no RNG use)
@@ -646,8 +636,7 @@ class ForwardDynamicExtender:
                     kernel_columns[value] = np.ascontiguousarray(block[:, k])
             contexts.append(
                 _TargetContext(
-                    target, new_dists, candidates, supports, union_index,
-                    kernel_columns, proj, anchor,
+                    target, new_dists, candidates, kernel_columns, proj, anchor
                 )
             )
         return contexts

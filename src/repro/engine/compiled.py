@@ -185,10 +185,11 @@ class CompiledDatabase:
             fk.name: 0 for fk in db.schema.foreign_keys
         }
         # Structural counters: like the dirty counters above, but *pure
-        # appends leave them untouched*.  A cached matrix whose structural
-        # signature still matches only grew new rows at the bottom — its old
-        # rows are bit-identical — so downstream caches can extend in place
-        # instead of recomputing (see WalkEngine).  What bumps them:
+        # appends leave them untouched*.  While a scheme's structural
+        # signature matches, its distributions only grew new rows at the
+        # bottom — old rows are bit-identical — so per-row state derived
+        # from them stays valid (see WalkEngine.attribute_struct_signature,
+        # which the dynamic extender's caches key on).  What bumps them:
         #   rel_struct_versions[r]  — tombstone/update/compaction of r (an
         #       append never changes existing rows of r);
         #   fk_fwd_struct[fk]       — an existing forward pointer changed
@@ -323,7 +324,7 @@ class CompiledDatabase:
             self.fk_target_rows[fk.name].append(pointer)
             if pointer >= 0:
                 # the referenced row's in-degree grew: backward transition
-                # rows renormalise, so backward products cannot extend
+                # rows renormalise, so existing backward rows change
                 self.fk_bwd_struct[fk.name] += 1
         for fk in self.schema.foreign_keys_to(fact.relation):
             pointers = self.fk_target_rows[fk.name]

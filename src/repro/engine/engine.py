@@ -24,10 +24,15 @@ so consumers that share an engine — FoRWaRD training, the dynamic extender,
 the experiment drivers — never recompute a distribution the engine has
 already seen, and a single-fact insert/delete/update during streaming only
 invalidates the schemes whose relations or foreign keys it touched.
-Single-fact queries slice a cached matrix row when one is current; otherwise
-they run an index-backed BFS (O(walk support), so one-by-one dynamic
-insertion stays O(walk) instead of O(database)), and only a second
-*distinct* fact querying the same scheme promotes to the batched matrix.
+Single-fact queries slice a row of a current destination matrix when one
+exists; otherwise they run an index-backed BFS (O(walk support), so
+one-by-one dynamic insertion stays O(walk) instead of O(database)).  The
+multi-query calls (:meth:`WalkEngine.attribute_rows`,
+:meth:`WalkEngine.attribute_distributions`) compute one destination row per
+distinct scheme, however many of its attributes they read.  Through
+:meth:`WalkEngine.destination_row`, a second *distinct* fact querying the
+same scheme promotes to the batched matrix; the fused
+:meth:`WalkEngine.attribute_rows` path never promotes.
 """
 
 from __future__ import annotations
@@ -45,28 +50,6 @@ from repro.walks.schemes import Direction, WalkScheme, WalkStep
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (walks -> engine)
     from repro.walks.random_walks import AttributeDistribution, DestinationDistribution
-
-
-def _extend_rows(
-    matrix: sparse.csr_matrix, new_block: sparse.csr_matrix, n_cols: int
-) -> sparse.csr_matrix:
-    """Append ``new_block`` below ``matrix``, widened to ``n_cols`` columns.
-
-    Used by the append-extension fast path: when a cached distribution
-    matrix's structural signature still matches, its rows are bit-identical
-    to what a recompute would produce, so only the appended rows are
-    computed and stacked on.  Widening reuses the cached index arrays
-    (column meaning is append-only under an unchanged structural
-    signature), so extension costs O(new rows), not O(matrix).
-    """
-    if matrix.shape[1] != n_cols:
-        matrix = sparse.csr_matrix(
-            (matrix.data, matrix.indices, matrix.indptr),
-            shape=(matrix.shape[0], n_cols),
-        )
-    if new_block.shape[0] == 0:
-        return matrix
-    return sparse.vstack([matrix, new_block], format="csr")
 
 
 def _normalize_rows(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -113,33 +96,21 @@ class WalkEngine:
         )
         # cache value -> (dirty signature at build time, payload); signatures
         # are per-foreign-key / per-relation, not the global version, so a
-        # mutation only invalidates the matrices it could have affected.
-        # Mass/dest/attr entries additionally carry a *structural* signature
-        # and the start-relation row count at build time: when the full
-        # signature is stale but the structural one still matches, the start
-        # relation only gained appended rows, so the cached matrix is
-        # extended in place (new rows computed, old bits untouched) instead
-        # of recomputed — see the ``_extendable``/``_extend_rows`` helpers.
+        # mutation only invalidates the matrices it could have affected
         self._step_cache: dict[tuple[str, Direction], tuple[int, sparse.csr_matrix]] = {}
-        self._mass_cache: dict[
-            WalkScheme, tuple[tuple, tuple, int, sparse.csr_matrix]
-        ] = {}
-        self._dest_cache: dict[
-            WalkScheme, tuple[tuple, tuple, int, sparse.csr_matrix]
-        ] = {}
+        self._mass_cache: dict[WalkScheme, tuple[tuple, sparse.csr_matrix]] = {}
+        self._dest_cache: dict[WalkScheme, tuple[tuple, sparse.csr_matrix]] = {}
         self._attr_cache: dict[
-            tuple[WalkScheme, str],
-            tuple[tuple, tuple, int, sparse.csr_matrix, np.ndarray],
+            tuple[WalkScheme, str], tuple[tuple, tuple[sparse.csr_matrix, np.ndarray]]
         ] = {}
         self._column_cache: dict[
             tuple[str, str], tuple[int, sparse.csr_matrix, np.ndarray, np.ndarray]
         ] = {}
-        # single-row BFS results for the current version, and the first fact
-        # to query each scheme — a *different* fact querying the same scheme
-        # promotes to the full batched matrix (valid per version only)
-        self._row_cache: dict[tuple[int, WalkScheme], tuple[np.ndarray, np.ndarray]] = {}
+        # the first fact to query each scheme through destination_row at the
+        # current version — a *different* fact querying the same scheme
+        # promotes to the full batched matrix
         self._row_queries: dict[WalkScheme, int] = {}
-        self._row_cache_version = self.compiled.version
+        self._row_queries_version = self.compiled.version
 
     def set_telemetry(self, telemetry: Telemetry | None) -> None:
         """Attach (or detach, with None) a telemetry bundle.
@@ -159,10 +130,6 @@ class WalkEngine:
         self._cache_misses = {
             kind: metrics.counter(f"engine.cache.{kind}.misses")
             for kind in ENGINE_CACHE_KINDS
-        }
-        self._cache_extends = {
-            kind: metrics.counter(f"engine.cache.{kind}.extends")
-            for kind in ("mass", "dest", "attr")
         }
         self._h_refresh = metrics.histogram("engine.refresh.seconds")
         self.compiled.set_telemetry(self.telemetry)
@@ -281,13 +248,12 @@ class WalkEngine:
         """The *structural* counters a scheme's distributions depend on.
 
         Pure appends leave these untouched (see
-        :class:`~repro.engine.compiled.CompiledDatabase`), so a cached
-        matrix whose structural signature still matches differs from a fresh
-        recompute only by rows appended at the bottom — the extension fast
-        path.  A forward step reads ``fk_fwd_struct`` (its rows change only
-        when an existing pointer changes); a backward step reads
-        ``fk_bwd_struct`` (additionally bumped by any resolved append, which
-        renormalises the referenced row's in-degree).
+        :class:`~repro.engine.compiled.CompiledDatabase`), so while they
+        match, a recompute differs from an earlier result only by rows
+        appended at the bottom.  A forward step reads ``fk_fwd_struct`` (its
+        rows change only when an existing pointer changes); a backward step
+        reads ``fk_bwd_struct`` (additionally bumped by any resolved append,
+        which renormalises the referenced row's in-degree).
         """
         compiled = self.compiled
         parts = [compiled.rel_struct_versions[scheme.start_relation]]
@@ -314,11 +280,6 @@ class WalkEngine:
             self.compiled.rel_struct_versions[scheme.end_relation],
         )
 
-    @staticmethod
-    def _extendable(hit: tuple | None, struct: tuple, n_start: int) -> bool:
-        """Whether a stale cache entry can be extended instead of rebuilt."""
-        return hit is not None and hit[1] == struct and n_start >= hit[2]
-
     def destination_matrix(self, scheme: WalkScheme) -> sparse.csr_matrix:
         """Row ``i`` is the destination distribution of start-relation row ``i``.
 
@@ -329,18 +290,10 @@ class WalkEngine:
         hit = self._dest_cache.get(scheme)
         if hit is not None and hit[0] == signature:
             self._cache_hits["dest"].inc()
-            return hit[3]
-        struct = self._scheme_struct_signature(scheme)
-        n_start = self.compiled.relations[scheme.start_relation].num_rows
-        mass = self._mass_matrix(scheme)
-        if self._extendable(hit, struct, n_start):
-            self._cache_extends["dest"].inc()
-            new_block = _normalize_rows(mass[hit[2] :])
-            matrix = _extend_rows(hit[3], new_block, mass.shape[1])
-        else:
-            self._cache_misses["dest"].inc()
-            matrix = _normalize_rows(mass.copy())
-        self._dest_cache[scheme] = (signature, struct, n_start, matrix)
+            return hit[1]
+        self._cache_misses["dest"].inc()
+        matrix = _normalize_rows(self._mass_matrix(scheme).copy())
+        self._dest_cache[scheme] = (signature, matrix)
         return matrix
 
     def _mass_matrix(self, scheme: WalkScheme) -> sparse.csr_matrix:
@@ -349,68 +302,39 @@ class WalkEngine:
         Scheme enumeration (Figure 4) grows schemes step by step, so sibling
         schemes share all but their last step; caching the unnormalised mass
         per scheme makes every scheme cost a single sparse product on top of
-        its prefix.  When only appends happened since the cached product was
-        built (structural signature unchanged), the new rows are computed as
-        ``S_1[new] · S_2 · … · S_l`` — O(batch), not O(relation) — and
-        stacked below the cached block, which stays bit-identical.  The
-        returned matrix is cached — callers must copy before mutating.
+        its prefix.  The returned matrix is cached — callers must copy before
+        mutating.
         """
         signature = self._scheme_signature(scheme)
         hit = self._mass_cache.get(scheme)
         if hit is not None and hit[0] == signature:
             self._cache_hits["mass"].inc()
-            return hit[3]
-        struct = self._scheme_struct_signature(scheme)
+            return hit[1]
+        self._cache_misses["mass"].inc()
         start_rel = self.compiled.relations[scheme.start_relation]
-        n_start = start_rel.num_rows
-        n_end = self.compiled.relations[scheme.end_relation].num_rows
-        if self._extendable(hit, struct, n_start):
-            self._cache_extends["mass"].inc()
-            block = self._mass_rows_block(scheme, hit[2], n_start, n_end)
-            mass = _extend_rows(hit[3], block, n_end)
-        else:
-            self._cache_misses["mass"].inc()
-            if not scheme.steps:
-                if start_rel.num_dead:
-                    # tombstoned rows must carry no mass, even onto themselves
-                    mass = sparse.diags(
-                        start_rel.alive_array().astype(np.float64), format="csr"
-                    )
-                else:
-                    mass = sparse.identity(start_rel.num_rows, format="csr")
-            elif len(scheme.steps) == 1:
-                mass = self.step_matrix(scheme.steps[0])
+        if not scheme.steps:
+            if start_rel.num_dead:
+                # tombstoned rows must carry no mass, even onto themselves
+                mass = sparse.diags(
+                    start_rel.alive_array().astype(np.float64), format="csr"
+                )
             else:
-                prefix = WalkScheme(scheme.start_relation, scheme.steps[:-1])
-                mass = self._mass_matrix(prefix) @ self.step_matrix(scheme.steps[-1])
-        self._mass_cache[scheme] = (signature, struct, n_start, mass)
+                mass = sparse.identity(start_rel.num_rows, format="csr")
+        elif len(scheme.steps) == 1:
+            mass = self.step_matrix(scheme.steps[0])
+        else:
+            prefix = WalkScheme(scheme.start_relation, scheme.steps[:-1])
+            mass = self._mass_matrix(prefix) @ self.step_matrix(scheme.steps[-1])
+        self._mass_cache[scheme] = (signature, mass)
         return mass
 
-    def _mass_rows_block(
-        self, scheme: WalkScheme, lo: int, hi: int, n_end: int
-    ) -> sparse.csr_matrix:
-        """Walk mass of start rows ``lo..hi`` only (the appended tail).
-
-        Row ``i`` of a CSR product depends only on row ``i`` of the left
-        factor, so propagating just the appended rows through the current
-        step matrices yields bits identical to the corresponding rows of a
-        full recompute.
-        """
-        if hi <= lo:
-            return sparse.csr_matrix((0, n_end))
-        rows = np.arange(lo, hi)
-        if not scheme.steps:
-            # appended rows are alive (a tombstone would have bumped the
-            # structural signature): unit point masses on themselves
-            return sparse.csr_matrix(
-                (np.ones(rows.size), rows, np.arange(rows.size + 1)),
-                shape=(rows.size, n_end),
+    @staticmethod
+    def _check_start(fact: Fact, scheme: WalkScheme) -> None:
+        if fact.relation != scheme.start_relation:
+            raise ValueError(
+                f"fact is from relation {fact.relation!r} but scheme starts at "
+                f"{scheme.start_relation!r}"
             )
-        block: sparse.csr_matrix | None = None
-        for step in scheme.steps:
-            matrix = self.step_matrix(step)
-            block = matrix[rows] if block is None else block @ matrix
-        return block
 
     def destination_row(self, fact: Fact, scheme: WalkScheme) -> tuple[np.ndarray, np.ndarray]:
         """``(end-relation rows, probabilities)`` of ``d_{f,s}``; empty if none.
@@ -418,55 +342,25 @@ class WalkEngine:
         A single fact never pays for whole-relation matrices up front: as
         long as only one fact queries a scheme at the current compiled
         version, its distribution comes from an index-backed BFS — O(walk
-        support), exactly like the reference, and cached per (fact, scheme) —
-        so a one-by-one insertion stream stays cheap even though every
-        arrival bumps the version.  As soon as a *second* fact queries the
-        same scheme, the full batched matrix is built once and amortised.
+        support), exactly like the reference — so a one-by-one insertion
+        stream stays cheap even though every arrival bumps the version.  As
+        soon as a *second* fact queries the same scheme, the full batched
+        matrix is built once and amortised.
         """
-        if fact.relation != scheme.start_relation:
-            raise ValueError(
-                f"fact is from relation {fact.relation!r} but scheme starts at "
-                f"{scheme.start_relation!r}"
-            )
-        if fact.fact_id not in self.compiled.relations[scheme.start_relation].row_of:
-            # the fact was inserted without add_facts/refresh; catch up
-            self.refresh()
-        hit = self._dest_cache.get(scheme)
-        if hit is None or hit[0] != self._scheme_signature(scheme):
-            if self._row_cache_version != self.version:
-                self._row_cache.clear()
-                self._row_queries.clear()
-                self._row_cache_version = self.version
-            row_key = (fact.fact_id, scheme)
-            cached_row = self._row_cache.get(row_key)
-            if cached_row is not None:
-                self._cache_hits["row"].inc()
-                return cached_row
-            first_querier = self._row_queries.setdefault(scheme, fact.fact_id)
-            if first_querier == fact.fact_id:
-                self._cache_misses["row"].inc()
-                result = self._bfs_row(fact, scheme)
-                if self._row_cache_version == self.version:  # unchanged by a refresh
-                    self._row_cache[row_key] = result
-                return result
-            # a second distinct fact wants this scheme: batch it
-        matrix = self.destination_matrix(scheme)
-        row = self.compiled.relations[scheme.start_relation].row_of[fact.fact_id]
-        lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
-        return matrix.indices[lo:hi].astype(np.int64), matrix.data[lo:hi].copy()
+        self._check_start(fact, scheme)
+        return self._single_row(fact, scheme, promote=True)
 
-    def _row_no_promote(
-        self, fact: Fact, scheme: WalkScheme
+    def _single_row(
+        self, fact: Fact, scheme: WalkScheme, *, promote: bool
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``destination_row`` that never builds whole-relation matrices.
+        """One fact's destination row: a slice of a current matrix, else a BFS.
 
-        Serves from a fresh batched matrix when one already exists, otherwise
-        from the per-(fact, scheme) row cache or a fresh index-backed BFS —
-        without counting as a scheme querier.  The fused single-fact pipeline
-        (:meth:`attribute_rows`) uses this: a streaming arrival queries every
-        walk target exactly once, so promoting to (and then re-extending) a
-        whole-relation matrix per batch would cost far more than the
-        O(walk support) propagation it replaces.
+        With ``promote`` (:meth:`destination_row`), a second distinct fact
+        querying ``scheme`` at the current version builds the batched matrix
+        instead.  The fused pipeline (:meth:`attribute_rows`) never promotes:
+        a streaming arrival queries every walk target exactly once, so
+        building a whole-relation matrix per batch would cost far more than
+        the O(walk support) propagation it replaces.
         """
         if fact.fact_id not in self.compiled.relations[scheme.start_relation].row_of:
             # the fact was inserted without add_facts/refresh; catch up
@@ -474,24 +368,19 @@ class WalkEngine:
         hit = self._dest_cache.get(scheme)
         if hit is not None and hit[0] == self._scheme_signature(scheme):
             self._cache_hits["dest"].inc()
-            matrix = hit[3]
-            row = self.compiled.relations[scheme.start_relation].row_of[fact.fact_id]
-            lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
-            return matrix.indices[lo:hi].astype(np.int64), matrix.data[lo:hi].copy()
-        if self._row_cache_version != self.version:
-            self._row_cache.clear()
-            self._row_queries.clear()
-            self._row_cache_version = self.version
-        row_key = (fact.fact_id, scheme)
-        cached_row = self._row_cache.get(row_key)
-        if cached_row is not None:
-            self._cache_hits["row"].inc()
-            return cached_row
-        self._cache_misses["row"].inc()
-        result = self._bfs_row(fact, scheme)
-        if self._row_cache_version == self.version:  # unchanged by a refresh
-            self._row_cache[row_key] = result
-        return result
+            matrix = hit[1]
+        else:
+            if self._row_queries_version != self.version:
+                self._row_queries.clear()
+                self._row_queries_version = self.version
+            if not promote or (
+                self._row_queries.setdefault(scheme, fact.fact_id) == fact.fact_id
+            ):
+                return self._bfs_row(fact, scheme)
+            matrix = self.destination_matrix(scheme)
+        row = self.compiled.relations[scheme.start_relation].row_of[fact.fact_id]
+        lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+        return matrix.indices[lo:hi].astype(np.int64), matrix.data[lo:hi].copy()
 
     def attribute_rows(
         self, fact: Fact, queries: Sequence[tuple[WalkScheme, str]]
@@ -499,41 +388,79 @@ class WalkEngine:
         """``(values, probabilities)`` per (scheme, attribute) query for one fact.
 
         The fused single-fact pipeline: one destination propagation per
-        *distinct* scheme — via :meth:`_row_no_promote`, so a batch of
-        arrivals never triggers whole-relation matrix builds — and one shared
-        column decode per (end relation, attribute).  Entries are None where
-        the distribution does not exist, exactly like :meth:`attribute_row`.
+        *distinct* scheme — never promoted, so a batch of arrivals never
+        triggers whole-relation matrix builds — and one shared column decode
+        per (end relation, attribute).  Entries are None where the
+        distribution does not exist, exactly like :meth:`attribute_row`.
+        """
+        return self._attribute_rows(fact, queries, batched=False)
+
+    def _attribute_rows(
+        self,
+        fact: Fact,
+        queries: Sequence[tuple[WalkScheme, str]],
+        *,
+        batched: bool,
+    ) -> list[tuple[np.ndarray, np.ndarray] | None]:
+        """One fact's attribute rows, one destination row per distinct scheme.
+
+        ``batched`` (the :meth:`attribute_row` family) prefers the batched
+        matrices: a current attribute matrix is sliced, and a second distinct
+        querier promotes the scheme to its destination matrix.  Without it
+        (:meth:`attribute_rows`) every row is aggregated from a single-fact
+        destination row that never promotes.
         """
         results: list[tuple[np.ndarray, np.ndarray] | None] = []
         destinations: dict[WalkScheme, tuple[np.ndarray, np.ndarray]] = {}
         for scheme, attribute in queries:
-            if fact.relation != scheme.start_relation:
-                raise ValueError(
-                    f"fact is from relation {fact.relation!r} but scheme starts "
-                    f"at {scheme.start_relation!r}"
-                )
+            self._check_start(fact, scheme)
+            if batched:
+                hit = self._attr_cache.get((scheme, attribute))
+                row_of = self.compiled.relations[scheme.start_relation].row_of
+                row = row_of.get(fact.fact_id)
+                # an unknown fact falls through to the row path, which self-syncs
+                if (
+                    row is not None
+                    and hit is not None
+                    and hit[0] == self._attribute_signature(scheme)
+                ):
+                    matrix, vocab = hit[1]
+                    lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+                    results.append(
+                        (vocab[matrix.indices[lo:hi]], matrix.data[lo:hi].copy())
+                        if lo < hi
+                        else None
+                    )
+                    continue
             pair = destinations.get(scheme)
             if pair is None:
-                pair = self._row_no_promote(fact, scheme)
+                pair = self._single_row(fact, scheme, promote=batched)
                 destinations[scheme] = pair
-            rows, probabilities = pair
-            if rows.size == 0:
-                results.append(None)
-                continue
-            _indicator, vocab, codes = self._column(scheme.end_relation, attribute)
-            row_codes = codes[rows]
-            non_null = row_codes >= 0
-            if not np.any(non_null):
-                results.append(None)
-                continue
-            # aggregate over the walk support, not the whole vocabulary: the
-            # support is a handful of codes while vocabularies can be huge
-            used, inverse = np.unique(row_codes[non_null], return_inverse=True)
-            mass = np.bincount(inverse, weights=probabilities[non_null])
-            keep = mass > 0
-            probs = mass[keep]
-            results.append((vocab[used[keep]], probs / probs.sum()))
+            results.append(self._attribute_values(scheme, attribute, *pair))
         return results
+
+    def _attribute_values(
+        self,
+        scheme: WalkScheme,
+        attribute: str,
+        rows: np.ndarray,
+        probabilities: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Aggregate one destination row's mass over the non-⊥ values of ``A``."""
+        if rows.size == 0:
+            return None
+        _indicator, vocab, codes = self._column(scheme.end_relation, attribute)
+        row_codes = codes[rows]
+        non_null = row_codes >= 0
+        if not np.any(non_null):
+            return None
+        # aggregate over the walk support, not the whole vocabulary: the
+        # support is a handful of codes while vocabularies can be huge
+        used, inverse = np.unique(row_codes[non_null], return_inverse=True)
+        mass = np.bincount(inverse, weights=probabilities[non_null])
+        keep = mass > 0
+        probs = mass[keep]
+        return vocab[used[keep]], probs / probs.sum()
 
     def _bfs_row(self, fact: Fact, scheme: WalkScheme) -> tuple[np.ndarray, np.ndarray]:
         """Single-source propagation through the database's own FK indexes."""
@@ -582,6 +509,12 @@ class WalkEngine:
         self._column_cache[key] = (rel_dirty, indicator, vocab, codes)
         return indicator, vocab, codes
 
+    def _attribute_signature(self, scheme: WalkScheme) -> tuple:
+        return (
+            self._scheme_signature(scheme),
+            self.compiled.rel_versions[scheme.end_relation],
+        )
+
     def attribute_matrix(
         self, scheme: WalkScheme, attribute: str
     ) -> tuple[sparse.csr_matrix, np.ndarray]:
@@ -592,68 +525,23 @@ class WalkEngine:
         fact (no complete walk, or every destination has ⊥ in ``A``).
         """
         key = (scheme, attribute)
-        signature = (
-            self._scheme_signature(scheme),
-            self.compiled.rel_versions[scheme.end_relation],
-        )
+        signature = self._attribute_signature(scheme)
         hit = self._attr_cache.get(key)
         if hit is not None and hit[0] == signature:
             self._cache_hits["attr"].inc()
-            return hit[3], hit[4]
-        struct = self.attribute_struct_signature(scheme)
-        n_start = self.compiled.relations[scheme.start_relation].num_rows
+            return hit[1]
+        self._cache_misses["attr"].inc()
         destinations = self.destination_matrix(scheme)
         indicator, vocab, _codes = self._column(scheme.end_relation, attribute)
-        if self._extendable(hit, struct, n_start):
-            # only appends since the cached block: old rows' value mass is
-            # untouched (codes are append-only and old destinations cannot
-            # reach appended rows), so aggregate just the appended tail
-            self._cache_extends["attr"].inc()
-            new_block = _normalize_rows(destinations[hit[2] :] @ indicator)
-            matrix = _extend_rows(hit[3], new_block, len(vocab))
-        else:
-            self._cache_misses["attr"].inc()
-            matrix = _normalize_rows(destinations @ indicator)
-        self._attr_cache[key] = (signature, struct, n_start, matrix, vocab)
-        return matrix, vocab
+        payload = (_normalize_rows(destinations @ indicator), vocab)
+        self._attr_cache[key] = (signature, payload)
+        return payload
 
     def attribute_row(
         self, fact: Fact, scheme: WalkScheme, attribute: str
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """``(values, probabilities)`` of ``d_{f,s}[A]``, or None if absent."""
-        if fact.relation != scheme.start_relation:
-            raise ValueError(
-                f"fact is from relation {fact.relation!r} but scheme starts at "
-                f"{scheme.start_relation!r}"
-            )
-        hit = self._attr_cache.get((scheme, attribute))
-        signature = (
-            self._scheme_signature(scheme),
-            self.compiled.rel_versions[scheme.end_relation],
-        )
-        if hit is not None and hit[0] == signature:
-            matrix, vocab = hit[3], hit[4]
-            row = self.compiled.relations[scheme.start_relation].row_of.get(fact.fact_id)
-            if row is not None:
-                lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
-                if lo == hi:
-                    return None
-                return vocab[matrix.indices[lo:hi]], matrix.data[lo:hi].copy()
-            # unknown fact: fall through to the row path, which self-syncs
-        rows, probabilities = self.destination_row(fact, scheme)
-        if rows.size == 0:
-            return None
-        _indicator, vocab, codes = self._column(scheme.end_relation, attribute)
-        row_codes = codes[rows]
-        non_null = row_codes >= 0
-        if not np.any(non_null):
-            return None
-        mass = np.bincount(
-            row_codes[non_null], weights=probabilities[non_null], minlength=len(vocab)
-        )
-        used = np.nonzero(mass > 0)[0]
-        probs = mass[used]
-        return vocab[used], probs / probs.sum()
+        return self._attribute_rows(fact, [(scheme, attribute)], batched=True)[0]
 
     # ------------------------------------------- reference-compatible views
 
@@ -672,10 +560,24 @@ class WalkEngine:
         self, fact: Fact, scheme: WalkScheme, attribute: str
     ) -> "AttributeDistribution | None":
         """The distribution of ``d_{f,s}[A]``, or None when it does not exist."""
+        return self.attribute_distributions(fact, [(scheme, attribute)])[0]
+
+    def attribute_distributions(
+        self, fact: Fact, queries: Sequence[tuple[WalkScheme, str]]
+    ) -> "list[AttributeDistribution | None]":
+        """:meth:`attribute_distribution` of every (scheme, attribute) query.
+
+        Each distinct scheme's destination row is computed once, however many
+        of its attributes are queried — the one-by-one extender asks for one
+        attribute per walk target, and targets share schemes.
+        """
         from repro.walks.random_walks import AttributeDistribution
 
-        result = self.attribute_row(fact, scheme, attribute)
-        if result is None:
-            return None
-        values, probabilities = result
-        return AttributeDistribution(scheme, attribute, tuple(values), probabilities)
+        return [
+            None
+            if result is None
+            else AttributeDistribution(scheme, attribute, tuple(result[0]), result[1])
+            for (scheme, attribute), result in zip(
+                queries, self._attribute_rows(fact, queries, batched=True)
+            )
+        ]

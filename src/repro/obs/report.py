@@ -11,8 +11,7 @@ benchmarks, the ``--metrics-out`` file and ``BENCH_*.json`` reports embed:
   ``coverage`` (how much of the apply time the stages account for — the
   regression guard asserts ≥ 0.9);
 * :func:`cache_hit_ratios` — per-kind engine cache hit ratios from the
-  ``engine.cache.<kind>.{hits,misses}`` counters (plus append-``extends``
-  where the kind supports them);
+  ``engine.cache.<kind>.{hits,misses}`` counters;
 * :func:`pipeline_breakdown` — the batched extension pipeline inside the
   embed stage (prepare → assemble → solve), with its share of the embed
   stage's inclusive time;
@@ -33,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Telemetry
 
 #: The engine cache kinds counted by :class:`~repro.engine.engine.WalkEngine`.
-ENGINE_CACHE_KINDS = ("step", "mass", "dest", "attr", "column", "row")
+ENGINE_CACHE_KINDS = ("step", "mass", "dest", "attr", "column")
 
 #: The per-batch apply stages of :meth:`EmbeddingService.apply`.
 SERVICE_STAGES = (
@@ -107,18 +106,11 @@ def cache_hit_ratios(telemetry: "Telemetry") -> dict[str, dict]:
         misses = counters.get(f"engine.cache.{kind}.misses", 0)
         if hits + misses == 0:
             continue
-        entry = {
+        ratios[kind] = {
             "hits": hits,
             "misses": misses,
             "hit_ratio": hits / (hits + misses),
         }
-        extends = counters.get(f"engine.cache.{kind}.extends", 0)
-        if extends:
-            # append-extensions are neither hits nor misses (the cached rows
-            # were reused, but new rows were computed); reported separately
-            # so hit_ratio keeps its hits/(hits+misses) meaning
-            entry["extends"] = extends
-        ratios[kind] = entry
     return ratios
 
 
@@ -177,7 +169,7 @@ def serve_endpoint_latencies(telemetry: "Telemetry") -> dict:
 def observability_report(
     telemetry: "Telemetry", total_apply_seconds: float | None = None
 ) -> dict:
-    """The block ``BENCH_streaming.json``/``BENCH_churn.json`` embed."""
+    """The ``observability`` block a streaming replay report embeds."""
     breakdown = stage_breakdown(telemetry, total_apply_seconds)
     report = {
         "stages": breakdown["stages"],

@@ -18,7 +18,6 @@ from repro.walks.schemes import (
 from repro.walks.random_walks import (
     AttributeDistribution,
     DestinationDistribution,
-    RandomWalker,
     attribute_distribution,
     destination_distribution,
     sample_walk,
@@ -33,7 +32,6 @@ __all__ = [
     "walk_targets",
     "AttributeDistribution",
     "DestinationDistribution",
-    "RandomWalker",
     "attribute_distribution",
     "destination_distribution",
     "sample_walk",

@@ -4,25 +4,24 @@ Given a start fact ``f`` and a walk scheme ``s``, the paper defines the
 distribution ``W(f, s)`` over walks obtained by repeatedly selecting the next
 valid fact uniformly at random, and the random variable ``d_{f,s}`` mapping a
 walk to its destination fact.  The destination distribution can be computed
-exactly by breadth-first propagation along the scheme (Section V-A); this is
-what :func:`destination_distribution` does.  Sampling individual walks
-(:func:`sample_walk`, :class:`RandomWalker`) is used by the stochastic
-training objective (Equation (5)).
+exactly by breadth-first propagation along the scheme (Section V-A), which
+is what :func:`destination_distribution` does.  It is the reference the
+compiled :class:`~repro.engine.WalkEngine` is tested against.
+:func:`sample_walk` draws one walk at a time, the Monte-Carlo view of the
+same law.  FoRWaRD's training (Equation (5)) samples from the engine's
+attribute matrices, not through this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.db.database import Database, Fact
 from repro.utils.rng import ensure_rng
 from repro.walks.schemes import Direction, WalkScheme, WalkStep
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> walks)
-    from repro.engine import WalkEngine
 
 
 @dataclass(frozen=True)
@@ -168,80 +167,3 @@ def sample_walk(
         walk.append(current)
     return walk
 
-
-class RandomWalker:
-    """Stateful sampler of walk destinations, with per-(fact, scheme) caching.
-
-    The FoRWaRD training loop draws many destination samples for the same
-    (fact, scheme) pairs; caching the exact destination distribution once and
-    sampling from it afterwards is equivalent to sampling fresh walks but far
-    cheaper on databases with high-degree backward steps.
-
-    Since the compiled walk engine (:mod:`repro.engine`) landed, the walker
-    is a thin compatibility façade: distributions are computed by the engine
-    (batched sparse propagation, shared across all facts of a relation) and
-    only wrapped into the reference dataclasses here.  Pass ``engine=None``
-    (the default) to have one compiled lazily on first use.
-
-    Cache entries are keyed by the *value* of the scheme, not by ``id()`` —
-    schemes are frozen dataclasses, and two structurally equal schemes must
-    share one cached distribution (``id()`` can even be reused after garbage
-    collection, which would silently return a wrong distribution).
-    """
-
-    def __init__(
-        self,
-        db: Database,
-        rng: int | np.random.Generator | None = None,
-        engine: "WalkEngine | None" = None,
-    ):
-        self.db = db
-        self.rng = ensure_rng(rng)
-        self._engine = engine
-        self._cache: dict[tuple[int, WalkScheme], DestinationDistribution] = {}
-
-    @property
-    def engine(self) -> "WalkEngine":
-        """The backing walk engine, compiled lazily from the database."""
-        if self._engine is None:
-            from repro.engine import WalkEngine
-
-            self._engine = WalkEngine(self.db)
-        return self._engine
-
-    def destination_distribution(self, fact: Fact, scheme: WalkScheme) -> DestinationDistribution:
-        key = (fact.fact_id, scheme)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self.engine.destination_distribution(fact, scheme)
-            self._cache[key] = cached
-        return cached
-
-    def attribute_distribution(
-        self, fact: Fact, scheme: WalkScheme, attribute: str
-    ) -> AttributeDistribution | None:
-        return self.engine.attribute_distribution(fact, scheme, attribute)
-
-    def sample_destination(self, fact: Fact, scheme: WalkScheme) -> Fact | None:
-        """Sample the destination of one random walk (None if no walk exists)."""
-        destinations = self.destination_distribution(fact, scheme)
-        if destinations.is_empty:
-            return None
-        index = int(self.rng.choice(len(destinations.facts), p=destinations.probabilities))
-        return destinations.facts[index]
-
-    def sample_destination_value(
-        self, fact: Fact, scheme: WalkScheme, attribute: str
-    ) -> Any | None:
-        """Sample a non-null destination value ``g[A]`` (None if none exists)."""
-        dist = self.attribute_distribution(fact, scheme, attribute)
-        if dist is None:
-            return None
-        index = int(self.rng.choice(len(dist.values), p=dist.probabilities))
-        return dist.values[index]
-
-    def clear_cache(self) -> None:
-        """Drop cached distributions and re-sync the engine with the database."""
-        self._cache.clear()
-        if self._engine is not None:
-            self._engine.refresh()

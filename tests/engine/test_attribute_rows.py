@@ -85,15 +85,49 @@ class TestFusionBehaviour:
         distinct = {scheme for scheme, _ in queries}
         assert len(distinct) < len(queries)  # fusion has something to fuse
         calls = []
-        original = WalkEngine._row_no_promote
+        original = WalkEngine._single_row
         monkeypatch.setattr(
             WalkEngine,
-            "_row_no_promote",
-            lambda self, fact, scheme: calls.append(scheme) or original(self, fact, scheme),
+            "_single_row",
+            lambda self, fact, scheme, **kw: calls.append(scheme)
+            or original(self, fact, scheme, **kw),
         )
         engine.attribute_rows(movies_db.facts("MOVIES")[0], queries)
         assert len(calls) == len(distinct)
         assert set(calls) == distinct
+
+    def test_distributions_propagate_once_per_distinct_scheme(
+        self, movies_db, monkeypatch
+    ):
+        """``attribute_distributions`` (one arrival's walk targets in the
+        one-by-one extender) runs one BFS per distinct scheme and agrees
+        bit for bit with per-query ``attribute_distribution``."""
+        queries = _queries(movies_db, "MOVIES")
+        distinct = {scheme for scheme, _ in queries}
+        fact = movies_db.facts("MOVIES")[0]
+        serial_engine = WalkEngine(movies_db)
+        serial = [
+            serial_engine.attribute_distribution(fact, scheme, attribute)
+            for scheme, attribute in queries
+        ]
+        engine = WalkEngine(movies_db)
+        calls = []
+        original = WalkEngine._bfs_row
+        monkeypatch.setattr(
+            WalkEngine,
+            "_bfs_row",
+            lambda self, fact, scheme: calls.append(scheme)
+            or original(self, fact, scheme),
+        )
+        grouped = engine.attribute_distributions(fact, queries)
+        assert sorted(map(repr, calls)) == sorted(map(repr, distinct))
+        assert len(grouped) == len(serial)
+        for entry, expected in zip(grouped, serial):
+            if expected is None:
+                assert entry is None
+                continue
+            assert entry.values == expected.values
+            assert np.array_equal(entry.probabilities, expected.probabilities)
 
     def test_never_promotes_to_relation_matrices(self, movies_db):
         engine = WalkEngine(movies_db)
@@ -101,7 +135,7 @@ class TestFusionBehaviour:
         for fact in movies_db.facts("MOVIES"):
             engine.attribute_rows(fact, queries)
         # the fused path serves single rows; a batch of arrivals must not
-        # have built (and then re-extended) whole-relation CSR matrices
+        # have built whole-relation CSR matrices
         assert not engine._dest_cache  # noqa: SLF001
 
     def test_append_extension_is_bit_identical(self, movies_db):

@@ -6,7 +6,8 @@ import pytest
 from repro.datasets.movies import movies_database
 from repro.engine import CompiledDatabase, ValueColumn, WalkEngine
 from repro.engine.sampling import sample_codes, sample_distinct_pairs
-from repro.walks import RandomWalker, WalkScheme
+from repro.obs import Telemetry
+from repro.walks import WalkScheme
 
 
 @pytest.fixture
@@ -107,13 +108,47 @@ class TestCompiledDatabase:
         assert compiled.num_facts == len(db)
         assert compiled.refresh() is False
 
-    def test_refresh_recompiles_after_deletion(self, db):
-        compiled = CompiledDatabase(db)
+    def test_refresh_replays_deletion_without_recompile(self, db):
+        """A delete is tombstoned by replaying the changelog, never by a
+        recompile — the mechanism behind incremental deletion's speedup."""
+        telemetry = Telemetry()
+        compiled = CompiledDatabase(db, telemetry=telemetry)
+        compiles = telemetry.metrics.snapshot()["counters"]["engine.compiles"]
         victim = db.facts("COLLABORATIONS")[0]
         db.delete(victim)
         assert compiled.refresh() is True
+        counters = telemetry.metrics.snapshot()["counters"]
+        assert counters["engine.compiles"] == compiles
+        assert counters["engine.refresh.replayed_ops"] == 1
         assert compiled.num_facts == len(db)
         assert not compiled.has_fact(victim)
+
+    def test_engine_remove_facts_rederives_without_recompile(self, db):
+        """The service's delete path (``notify_deleted`` ->
+        ``remove_facts``) tombstones in place: a warm destination matrix is
+        re-derived with the deleted fact's row empty and nothing recompiled."""
+        from repro.walks import Direction, WalkStep
+
+        telemetry = Telemetry()
+        engine = WalkEngine(db, telemetry=telemetry)
+        fk = db.schema.foreign_keys_from("COLLABORATIONS")[0]
+        scheme = WalkScheme("COLLABORATIONS", (WalkStep(fk, Direction.FORWARD),))
+        victim = db.facts("COLLABORATIONS")[0]
+        row = engine.compiled.relations["COLLABORATIONS"].row_of[victim.fact_id]
+        warm = engine.destination_matrix(scheme)
+        assert warm.indptr[row + 1] > warm.indptr[row]
+        compiles = telemetry.metrics.snapshot()["counters"]["engine.compiles"]
+        db.delete(victim)
+        engine.remove_facts([victim])
+        matrix = engine.destination_matrix(scheme)
+        assert matrix is not warm  # the deletion invalidated the warm entry
+        assert telemetry.metrics.snapshot()["counters"]["engine.compiles"] == compiles
+        assert matrix.indptr[row + 1] == matrix.indptr[row]
+        live = [
+            engine.compiled.relations["COLLABORATIONS"].row_of[f.fact_id]
+            for f in db.facts("COLLABORATIONS")
+        ]
+        assert all(matrix.indptr[r + 1] > matrix.indptr[r] for r in live)
 
 
 class TestSampling:
@@ -148,12 +183,12 @@ class TestSampling:
 
 class TestWalkerCacheKeying:
     def test_equal_schemes_share_cache_entry(self, db):
-        """Regression: the cache used to key on id(scheme), which both misses
-        structurally equal schemes and can collide after garbage collection."""
-        walker = RandomWalker(db, rng=0)
-        fact = db.facts("ACTORS")[0]
-        first = walker.destination_distribution(fact, WalkScheme("ACTORS"))
-        second = walker.destination_distribution(fact, WalkScheme("ACTORS"))
+        """Caches key on the scheme's value, not id(scheme): keying on id
+        both misses structurally equal schemes and can collide after
+        garbage collection."""
+        engine = WalkEngine(db)
+        first = engine.destination_matrix(WalkScheme("ACTORS"))
+        second = engine.destination_matrix(WalkScheme("ACTORS"))
         assert second is first  # distinct but equal scheme objects hit the cache
 
     def test_walk_scheme_hashable(self, db):

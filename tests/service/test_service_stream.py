@@ -126,6 +126,7 @@ class TestMondialReplayExactness:
         assert churn["one_shot_max_abs_diff"] <= CHURN_TOLERANCE
         assert churn["facts_deleted"] > 0 and churn["facts_updated"] > 0
         assert churn["deleted_facts_absent_from_store"]
+        assert churn["feed_lag"] == 0 and churn["version_skew"] == 0
 
 
 class TestServiceSemantics:

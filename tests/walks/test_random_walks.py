@@ -6,7 +6,6 @@ import pytest
 from repro.datasets.movies import movies_database, movies_schema
 from repro.walks import (
     Direction,
-    RandomWalker,
     WalkScheme,
     WalkStep,
     attribute_distribution,
@@ -120,23 +119,7 @@ class TestSampling:
     def test_sampled_destinations_match_distribution(self, db):
         a1 = db.lookup_by_key("ACTORS", ["a01"])
         scheme = scheme_s5_from_actor1(db.schema)
-        walker = RandomWalker(db, rng=1)
-        samples = [walker.sample_destination(a1, scheme)["mid"] for _ in range(300)]
+        rng = np.random.default_rng(1)
+        samples = [sample_walk(db, a1, scheme, rng=rng)[-1]["mid"] for _ in range(300)]
         fraction_m03 = samples.count("m03") / len(samples)
         assert 0.35 < fraction_m03 < 0.65  # both destinations have probability 0.5
-
-    def test_walker_sample_value_only_non_null(self, db):
-        a1 = db.lookup_by_key("ACTORS", ["a01"])
-        scheme = scheme_s5_from_actor1(db.schema)
-        walker = RandomWalker(db, rng=1)
-        values = {walker.sample_destination_value(a1, scheme, "genre") for _ in range(20)}
-        assert values == {"Bio"}
-
-    def test_walker_cache_cleared(self, db):
-        a1 = db.lookup_by_key("ACTORS", ["a01"])
-        scheme = scheme_s5_from_actor1(db.schema)
-        walker = RandomWalker(db, rng=1)
-        first = walker.destination_distribution(a1, scheme)
-        assert walker.destination_distribution(a1, scheme) is first  # cached
-        walker.clear_cache()
-        assert walker.destination_distribution(a1, scheme) is not first
