@@ -173,16 +173,6 @@ class ForwardEmbedding(Embedder):
         self._check_fitted()
         return (*self.model_.fact_ids, *self.model_.extended_fact_ids)
 
-    def prime_extension(self) -> None:
-        """Warm the extender's per-target batch contexts (serving startup).
-
-        Optional serving hook: the per-target anchor state the batched
-        pipeline needs is fact-independent, so the service pays for it once
-        before the stream instead of inside the first batch's apply path.
-        """
-        if self._recompute_old_paths:
-            self.extender.prime()
-
     def recompute_extension(
         self, facts: Sequence[Fact], seed: int | None
     ) -> Mapping[Fact, np.ndarray]:

@@ -9,12 +9,12 @@ Equation (9): each sampled triple ``(f_old, s, A)`` contributes one equation
 i.e. a row ``C_i = ψ(s, A)·φ(f_old)`` and right-hand side ``b_i``; the
 minimum-norm least-squares solution (Equation (10)) is ``φ(f_new)``.
 
-Distributions are computed by the compiled walk engine: the new fact's
-distribution is a single sparse row propagation, and inserted facts are
-*appended* to the compiled arrays (no recompilation), so one-by-one arrival
-streams stay cheap.  In the all-at-once setting (``recompute_old_paths``)
-the old facts' distributions are recomputed for a whole walk target at once
-from the engine's batched attribute matrix.
+Distributions are computed by the compiled walk engine.  The one-by-one
+path (:meth:`ForwardDynamicExtender.embed_fact`) queries a single fact's
+rows; the all-at-once batch (:meth:`ForwardDynamicExtender.extend_batch`,
+``recompute_old_paths``) slices every old and new fact's distribution for a
+walk target out of the engine's attribute matrix and computes every
+right-hand side of the batch in one sparse gather per target.
 """
 
 from __future__ import annotations
@@ -35,46 +35,78 @@ from repro.walks.random_walks import AttributeDistribution
 
 
 class _TargetContext:
-    """Per-walk-target state shared by every fact of one extension batch.
+    """One walk target's share of an extension batch: rows of its attribute
+    matrix.
 
-    Holds exactly the quantities :meth:`ForwardDynamicExtender.embed_fact`
-    would recompute per fact: the candidate anchor list, the candidates'
-    distributions as one CSR over the union of their supports (``anchor``),
-    the new facts' distributions, and — the expensive part — the kernel
-    columns of the union against every value of the new supports, evaluated
-    once per batch instead of once per fact.
+    ``matrix``/``vocab`` are the engine's attribute matrix of the target and
+    its value vocabulary.  ``anchor_rows`` are the matrix rows of the
+    candidate anchors — the trained facts that are alive and reach the
+    target, in ``model.fact_ids`` order — and ``proj`` their projection rows
+    ``φ(f_old)·ψᵀ``.  ``new_rows`` are the batch facts' rows; ``reaches``
+    flags the non-empty ones (the facts with a distribution).
     """
 
-    __slots__ = (
-        "target", "new_dists", "candidates", "kernel_columns", "proj", "anchor",
-    )
+    __slots__ = ("target", "matrix", "vocab", "anchor_rows", "proj", "new_rows", "reaches")
 
     def __init__(
         self,
         target: WalkTarget,
-        new_dists: list[AttributeDistribution | None],
-        candidates: list[int],
-        kernel_columns: dict[Any, np.ndarray],
+        matrix: "sparse.csr_matrix",
+        vocab: np.ndarray,
+        anchor_rows: np.ndarray,
         proj: np.ndarray,
-        anchor: "sparse.csr_matrix",
+        new_rows: np.ndarray,
+        reaches: np.ndarray,
     ):
         self.target = target
-        self.new_dists = new_dists
-        self.candidates = candidates
-        self.kernel_columns = kernel_columns
+        self.matrix = matrix
+        self.vocab = vocab
+        self.anchor_rows = anchor_rows
         self.proj = proj
-        self.anchor = anchor
+        self.new_rows = new_rows
+        self.reaches = reaches
 
-    def similarity(self, new_dist: AttributeDistribution) -> np.ndarray:
-        """``Σ_v K(union, v)·p_new(v)`` — the union's similarity to one fact.
+    @property
+    def n_candidates(self) -> int:
+        return self.anchor_rows.size
 
-        Reads memoised kernel columns only: ``_batch_contexts`` fills one
-        for every value of the batch's new distributions before any
-        equation is assembled.
+    def rhs_blocks(
+        self, requests: Sequence[tuple[int, np.ndarray]]
+    ) -> list[np.ndarray]:
+        """``KD(d_old, d_new)`` of every requested (fact index, picked anchors).
+
+        One pass for the whole batch: one kernel evaluation between the codes
+        the picked anchors use and the codes the requesting facts use, each
+        fact's similarity row ``S[fact, u] = Σ_v p_new(v)·K(u, v)``, then
+        every picked anchor's expectation ``Σ_u p_old(u)·S[fact, u]``
+        gathered from its matrix row — O(picks × support), never an anchors
+        × facts matrix.  Each sum runs over one row's entries in row order,
+        so a right-hand side does not depend on what else the batch requests.
         """
-        columns = self.kernel_columns
-        stacked = np.stack([columns[value] for value in new_dist.values], axis=1)
-        return stacked @ np.asarray(new_dist.probabilities, dtype=np.float64)
+        counts = [len(picked) for _, picked in requests]
+        indptr, indices, data = self.matrix.indptr, self.matrix.indices, self.matrix.data
+        new_entries, new_lengths = _row_entries(
+            indptr, self.new_rows[[i for i, _ in requests]]
+        )
+        new_codes, new_columns = np.unique(indices[new_entries], return_inverse=True)
+        entries, lengths = _row_entries(
+            indptr, self.anchor_rows[np.concatenate([picked for _, picked in requests])]
+        )
+        anchor_codes, anchor_columns = np.unique(indices[entries], return_inverse=True)
+        kernel = self.target.kernel.cross_matrix(
+            self.vocab[anchor_codes], self.vocab[new_codes]
+        )
+        p_new = sparse.csr_matrix(
+            (data[new_entries], new_columns, np.concatenate(([0], np.cumsum(new_lengths)))),
+            shape=(len(requests), new_codes.size),
+        )
+        similarity = p_new @ kernel.T
+        owners = np.repeat(np.repeat(np.arange(len(requests)), counts), lengths)
+        terms = data[entries] * similarity[owners, anchor_columns]
+        # every picked anchor reaches the target: no segment is empty
+        values = np.add.reduceat(terms, np.cumsum(lengths) - lengths)
+        bounds = np.cumsum(counts).tolist()
+        return [values[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
 
 
 class ForwardDynamicExtender:
@@ -115,23 +147,11 @@ class ForwardDynamicExtender:
             raise ValueError("engine is compiled from a different database")
         self._engine = engine
         # target index -> (attribute struct signature, fact_id -> distribution
-        # or None); keyed structurally so pure insertions — which only append
-        # attribute-matrix rows — keep the old facts' distributions cached
+        # or None): the serial path's recomputed old-fact distributions, keyed
+        # structurally so pure insertions — which only append attribute-matrix
+        # rows — keep them cached
         self._old_cache: dict[
             int, tuple[tuple, dict[int, AttributeDistribution | None]]
-        ] = {}
-        # target index -> (attribute struct signature, candidates, union
-        # index, kernel column cache, projection rows, anchor CSR); the
-        # batched pipeline's per-target anchor context, stable while no
-        # existing row changed structurally
-        self._context_cache: dict[int, tuple] = {}
-        # (target index, fact id) -> (attribute struct signature, distribution
-        # or None) for *streamed* facts: under pure appends an already
-        # computed row keeps its exact bits, so re-embedding the whole stream
-        # each batch (the recompute policy) only queries the engine for the
-        # facts that actually arrived in the batch
-        self._new_dist_cache: dict[
-            tuple[int, int], tuple[tuple, AttributeDistribution | None]
         ] = {}
         # memo of the last embedded sequence: the recompute policy replays the
         # whole arrival stream under a freshly reseeded RNG every batch, so a
@@ -165,18 +185,6 @@ class ForwardDynamicExtender:
             self.model.add_extended(fact, vector)
             result.set(fact, vector)
         return result
-
-    def prime(self) -> None:
-        """Build every walk target's batch context ahead of the stream.
-
-        The per-target anchor state (recomputed old-fact distributions, the
-        support union, the candidate projection and probability matrices) is
-        fact-independent and struct-keyed, so a serving process can pay for
-        it once at startup instead of inside the first batch's apply path.
-        Idempotent; contexts invalidated by later structural changes are
-        rebuilt lazily as usual.
-        """
-        self._batch_contexts([])
 
     def notify_inserted(self, facts: Iterable[Fact]) -> None:
         """Append facts inserted into ``db`` to the compiled engine.
@@ -258,13 +266,6 @@ class ForwardDynamicExtender:
         self._old_cache[target.index] = (struct, result)
         return result
 
-    def _old_distribution(
-        self, fact_id: int, target: WalkTarget
-    ) -> AttributeDistribution | None:
-        if not self.recompute_old_paths:
-            return self.model.distribution(fact_id, target.index)
-        return self._old_distributions(target).get(fact_id)
-
     def embed_fact(self, fact: Fact) -> np.ndarray:
         """Compute ``φ(f_new)`` for one new fact (does not modify the model)."""
         engine = self.engine
@@ -312,14 +313,15 @@ class ForwardDynamicExtender:
     def extend_batch(self, facts: Sequence[Fact]) -> dict[int, np.ndarray]:
         """Embed many new facts through one fused batched pipeline.
 
-        Semantically identical to calling :meth:`embed_fact` on every fact in
-        order — the RNG is consumed in the same fact-major, target-minor
-        order, so a fixed seed produces the same candidate draws — but the
-        per-target context (attribute matrix, candidate anchors, and one
-        kernel cross-matrix over the union of all supports) is computed once
-        per *batch* instead of once per *fact*, which is where the serial
-        path spends almost all of its time.  Returns ``fact_id -> φ(f_new)``;
-        the model is not modified.
+        The all-at-once setting only (``recompute_old_paths``).  Semantically
+        identical to calling :meth:`embed_fact` on every fact in order — the
+        RNG is consumed in the same fact-major, target-minor order, so a
+        fixed seed produces the same candidate draws — but each walk target's
+        old and new distributions are rows of one attribute matrix, and every
+        right-hand side of a target is computed in one pass with one kernel
+        evaluation (see :meth:`_TargetContext.rhs_blocks`).  No per-fact
+        engine query, distribution object or BFS is made.  Returns
+        ``fact_id -> φ(f_new)``; the model is not modified.
 
         Re-embedding the same arrival prefix (the recompute policy replays the
         whole stream every batch under a per-pass reseeded RNG) is memoised
@@ -328,14 +330,19 @@ class ForwardDynamicExtender:
         candidate draws are identical by determinism, so the recorded picks
         and equation blocks are reused without touching the RNG at all.  A
         structural change in one walk target (a deletion, an update, or an
-        insert that renormalises a backward step) rebuilds only that target's
-        block and re-solves only the affected facts; everything else is
-        returned verbatim.
+        insert that renormalises a backward step) recomputes only that
+        target's right-hand sides and re-solves only the affected facts;
+        everything else is returned verbatim.
 
         The three stages are instrumented as ``service.embed.prepare`` /
         ``service.embed.assemble`` / ``service.embed.solve`` when the
         engine's telemetry bundle is enabled.
         """
+        if not self.recompute_old_paths:
+            raise ValueError(
+                "extend_batch embeds against recomputed old-fact distributions; "
+                "construct the extender with recompute_old_paths=True"
+            )
         facts = list(facts)
         if not facts:
             return {}
@@ -356,31 +363,35 @@ class ForwardDynamicExtender:
             else []
         )
         with telemetry.stage("service.embed.prepare"):
-            contexts = self._batch_contexts(facts)
-            structs = {
-                context.target.index: engine.attribute_struct_signature(
-                    context.target.scheme
-                )
-                for context in contexts
+            contexts = {
+                context.target.index: context
+                for context in self._batch_contexts(facts)
                 if context is not None
+            }
+            structs = {
+                t_index: engine.attribute_struct_signature(context.target.scheme)
+                for t_index, context in contexts.items()
             }
         with telemetry.stage("service.embed.assemble"):
             centroid = self.model.phi.mean(axis=0)
             records: list[dict[str, Any]] = []
-            systems: list[tuple[int, np.ndarray, np.ndarray]] = []
             vectors_list: list[np.ndarray | None] = [None] * len(facts)
-            # a cached record stays valid while the RNG start state, the fact's
-            # position, and the draw signature chain before it are unchanged —
-            # then every recorded pick equals what a live pass would draw
+            # target index -> (fact index, picked anchors) whose right-hand
+            # side phase 2 gathers
+            requests: dict[int, list[tuple[int, np.ndarray]]] = {}
+            to_solve: list[int] = []
+            # phase 1 — draw or reuse every fact's picks, fact-major and
+            # target-minor like embed_fact.  A cached record stays valid while
+            # the RNG start state, the fact's position, and the draw signature
+            # chain before it are unchanged — then every recorded pick equals
+            # what a live pass would draw
             prefix_ok = bool(cached_facts)
             for i, fact in enumerate(facts):
                 contribs = [
-                    context
-                    for context in contexts
-                    if context is not None and context.new_dists[i] is not None
+                    context for context in contexts.values() if context.reaches[i]
                 ]
                 sig = tuple(
-                    (context.target.index, len(context.candidates))
+                    (context.target.index, context.n_candidates)
                     for context in contribs
                 )
                 record = (
@@ -388,64 +399,40 @@ class ForwardDynamicExtender:
                     if prefix_ok and i < len(cached_facts)
                     else None
                 )
-                if (
+                reuse = (
                     record is not None
                     and record["fact_id"] == fact.fact_id
                     and record["sig"] == sig
-                ):
-                    blocks: dict[int, tuple] = {}
-                    stale = False
-                    for context in contribs:
-                        t_index = context.target.index
-                        cached_block = record["blocks"][t_index]
-                        if cached_block[0] == structs[t_index]:
-                            blocks[t_index] = cached_block
-                        else:
-                            # the draws are still the recorded ones; only the
-                            # right-hand side moved with the structure
-                            picked = cached_block[1]
-                            blocks[t_index] = (
-                                structs[t_index],
-                                picked,
-                                self._rhs_block(context, i, picked),
-                            )
-                            stale = True
-                    if not contribs:
-                        vectors_list[i] = record["vector"]
-                    elif stale:
-                        systems.append(
-                            (i, *self._assemble_system(contribs, blocks))
-                        )
-                    else:
-                        vectors_list[i] = record["vector"]
-                    records.append(
-                        {
-                            "fact_id": fact.fact_id,
-                            "sig": sig,
-                            "blocks": blocks,
-                            "after_state": record["after_state"],
-                            "vector": record["vector"],
-                        }
-                    )
-                    continue
-                if prefix_ok:
+                )
+                if not reuse and prefix_ok:
                     prefix_ok = False
                     if records:
                         # leave the reused region: position the generator
                         # exactly after the last reused fact's draws
                         self.rng.bit_generator.state = records[-1]["after_state"]
-                blocks = {}
+                blocks: dict[int, tuple] = {}
+                stale = False
                 for context in contribs:
-                    picked = self._choose_indices(
-                        len(context.candidates), n_per_target
-                    )
-                    blocks[context.target.index] = (
-                        structs[context.target.index],
-                        picked,
-                        self._rhs_block(context, i, picked),
-                    )
-                if contribs:
-                    systems.append((i, *self._assemble_system(contribs, blocks)))
+                    t_index = context.target.index
+                    if reuse:
+                        cached_block = record["blocks"][t_index]
+                        if cached_block[0] == structs[t_index]:
+                            blocks[t_index] = cached_block
+                            continue
+                        # the draws are still the recorded ones; only the
+                        # right-hand side moved with the structure
+                        picked = cached_block[1]
+                    else:
+                        picked = self._choose_indices(
+                            context.n_candidates, n_per_target
+                        )
+                    blocks[t_index] = (structs[t_index], picked, None)
+                    requests.setdefault(t_index, []).append((i, picked))
+                    stale = True
+                if stale:
+                    to_solve.append(i)
+                elif reuse:
+                    vectors_list[i] = record["vector"]
                 else:
                     # no completable walk to any kernelized attribute: fall
                     # back to the trained centroid, exactly like embed_fact
@@ -455,10 +442,23 @@ class ForwardDynamicExtender:
                         "fact_id": fact.fact_id,
                         "sig": sig,
                         "blocks": blocks,
-                        "after_state": self.rng.bit_generator.state,
-                        "vector": centroid if not contribs else None,
+                        "after_state": (
+                            record["after_state"]
+                            if reuse
+                            else self.rng.bit_generator.state
+                        ),
+                        "vector": vectors_list[i],
                     }
                 )
+            # phase 2 — every pending right-hand side, one gather per target
+            for t_index, pending in requests.items():
+                rhs_blocks = contexts[t_index].rhs_blocks(pending)
+                for (i, picked), rhs in zip(pending, rhs_blocks):
+                    records[i]["blocks"][t_index] = (structs[t_index], picked, rhs)
+            systems = [
+                (i, *self._assemble_system(contexts, records[i]["blocks"]))
+                for i in to_solve
+            ]
         with telemetry.stage("service.embed.solve"):
             for i, matrix, rhs in systems:
                 vectors_list[i] = solve_least_squares(matrix, rhs)
@@ -474,169 +474,56 @@ class ForwardDynamicExtender:
         }
 
     @staticmethod
-    def _rhs_block(
-        context: _TargetContext, fact_index: int, picked: np.ndarray
-    ) -> np.ndarray:
-        """Expected kernel distances of the picked anchors against one fact."""
-        similarity = context.similarity(context.new_dists[fact_index])
-        return (context.anchor @ similarity)[picked]
-
-    @staticmethod
     def _assemble_system(
-        contribs: list[_TargetContext], blocks: dict[int, tuple]
+        contexts: dict[int, _TargetContext], blocks: dict[int, tuple]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Stack the per-target equation blocks into one least-squares system."""
+        """Stack one fact's per-target equation blocks into one system."""
         rows = []
         rhs = []
-        for context in contribs:
-            _, picked, rhs_block = blocks[context.target.index]
-            rows.append(context.proj[picked])
+        for t_index, (_, picked, rhs_block) in blocks.items():
+            rows.append(contexts[t_index].proj[picked])
             rhs.append(rhs_block)
         return np.vstack(rows), np.concatenate(rhs)
 
     def _batch_contexts(self, facts: Sequence[Fact]) -> list["_TargetContext | None"]:
-        """One :class:`_TargetContext` per walk target (None when inert)."""
+        """One :class:`_TargetContext` per walk target (None when inert).
+
+        A target is inert when no fact of the batch reaches it or no trained
+        fact survives as its anchor: :meth:`embed_fact` would skip it for
+        every fact without drawing.
+        """
         engine = self.engine
-        targets = self.model.targets
-        # scheme-level cache accounting: one hit/miss per (new fact, target)
-        # distribution lookup and per anchor-context check, so a test (or an
-        # operator) can verify that batches touching disjoint foreign keys
-        # skip recomputation entirely (see docs/PERFORMANCE.md)
-        metrics = engine.telemetry.metrics
-        newdist_hits = metrics.counter("pipeline.cache.newdist.hits")
-        newdist_misses = metrics.counter("pipeline.cache.newdist.misses")
-        context_hits = metrics.counter("pipeline.cache.context.hits")
-        context_misses = metrics.counter("pipeline.cache.context.misses")
-        structs = [
-            engine.attribute_struct_signature(target.scheme) for target in targets
-        ]
-        # new facts' distributions, fused: one engine call per fact covering
-        # every target it has no struct-fresh cache entry for — a single
-        # destination propagation per distinct scheme instead of one layered
-        # query per (fact, target)
-        dists: list[list[AttributeDistribution | None]] = [
-            [None] * len(facts) for _ in targets
-        ]
-        for i, fact in enumerate(facts):
-            missing: list[int] = []
-            for j, target in enumerate(targets):
-                hit = self._new_dist_cache.get((target.index, fact.fact_id))
-                if hit is not None and hit[0] == structs[j]:
-                    newdist_hits.inc()
-                    dists[j][i] = hit[1]
-                else:
-                    newdist_misses.inc()
-                    missing.append(j)
-            if not missing:
-                continue
-            fused = engine.attribute_rows(
-                fact, [(targets[j].scheme, targets[j].attribute) for j in missing]
-            )
-            for j, row in zip(missing, fused):
-                target = targets[j]
-                dist = (
-                    None
-                    if row is None
-                    else AttributeDistribution(
-                        target.scheme, target.attribute, tuple(row[0]), row[1]
-                    )
-                )
-                self._new_dist_cache[(target.index, fact.fact_id)] = (structs[j], dist)
-                dists[j][i] = dist
+        row_of = engine.compiled.relations[self.model.relation].row_of
+        new_rows = np.fromiter(
+            (row_of[fact.fact_id] for fact in facts), dtype=np.intp, count=len(facts)
+        )
+        # compiled row of every trained fact (φ row order); -1 once deleted
+        trained_rows = np.fromiter(
+            (row_of.get(fact_id, -1) for fact_id in self.model.fact_ids),
+            dtype=np.intp,
+            count=len(self.model.fact_ids),
+        )
+        alive = np.flatnonzero(trained_rows >= 0)
         contexts: list[_TargetContext | None] = []
-        for j, target in enumerate(targets):
-            struct = structs[j]
-            new_dists = dists[j]
-            if facts and all(dist is None for dist in new_dists):
-                # no fact of this batch reaches the target (the serial path
-                # would `continue` on every one, consuming no RNG) — don't
-                # rebuild a possibly invalidated anchor context it won't use
+        for target in self.model.targets:
+            matrix, vocab = engine.attribute_matrix(target.scheme, target.attribute)
+            indptr = matrix.indptr
+            candidates = alive[
+                indptr[trained_rows[alive] + 1] > indptr[trained_rows[alive]]
+            ]
+            reaches = indptr[new_rows + 1] > indptr[new_rows]
+            if candidates.size == 0 or not reaches.any():
                 contexts.append(None)
                 continue
-            cached = self._context_cache.get(target.index)
-            if cached is not None and cached[0] == struct:
-                context_hits.inc()
-                _, candidates, union_index, kernel_columns, proj, anchor = cached
-            else:
-                context_misses.inc()
-                old_dists = self._old_distributions(target)
-                candidates = [
-                    fid
-                    for fid in self.model.fact_ids
-                    if old_dists[fid] is not None
-                    and fid in self.db._facts_by_id  # noqa: SLF001 - membership
-                ]
-                union_index = {}
-                supports = {}
-                for fid in candidates:
-                    dist = old_dists[fid]
-                    positions = np.empty(len(dist.values), dtype=np.intp)
-                    for j, value in enumerate(dist.values):
-                        position = union_index.get(value)
-                        if position is None:
-                            position = len(union_index)
-                            union_index[value] = position
-                        positions[j] = position
-                    supports[fid] = (
-                        positions,
-                        np.asarray(dist.probabilities, dtype=np.float64),
-                    )
-                # kernel column per value, filled lazily below; K(u, v) depends
-                # only on the pair, so columns survive as long as the union does
-                kernel_columns = {}
-                # candidate-order projection rows φ(f_old)·ψᵀ and one CSR of
-                # candidate probabilities over the union: φ/ψ are frozen and
-                # the supports are struct-stable, so a fact's equations reduce
-                # to fancy-indexing ``proj`` and one matvec through ``anchor``
-                cand_rows = np.array(
-                    [self.model.fact_row[fid] for fid in candidates],
-                    dtype=np.intp,
-                )
-                proj = self.model.phi[cand_rows] @ self.model.psi[target.index].T
-                indptr = np.zeros(len(candidates) + 1, dtype=np.intp)
-                for i, fid in enumerate(candidates):
-                    indptr[i + 1] = indptr[i] + len(supports[fid][0])
-                if candidates:
-                    indices = np.concatenate(
-                        [supports[fid][0] for fid in candidates]
-                    )
-                    data = np.concatenate(
-                        [supports[fid][1] for fid in candidates]
-                    )
-                else:
-                    indices = np.empty(0, dtype=np.intp)
-                    data = np.empty(0, dtype=np.float64)
-                anchor = sparse.csr_matrix(
-                    (data, indices, indptr),
-                    shape=(len(candidates), len(union_index)),
-                )
-                self._context_cache[target.index] = (
-                    struct, candidates, union_index, kernel_columns, proj, anchor,
-                )
-            if not candidates or all(dist is None for dist in new_dists):
-                # the serial path would `continue` on every fact (no RNG use)
-                contexts.append(None)
-                continue
-            # coalesce the batch's first-seen kernel values into one
-            # cross-matrix evaluation per target; per-fact lazy fills would
-            # fragment the same work into hundreds of tiny kernel calls when
-            # the recompute policy replays a long arrival stream
-            missing_values = {
-                value: None
-                for dist in new_dists
-                if dist is not None
-                for value in dist.values
-                if value not in kernel_columns
-            }
-            if missing_values:
-                block = target.kernel.cross_matrix(
-                    list(union_index), list(missing_values)
-                )
-                for k, value in enumerate(missing_values):
-                    kernel_columns[value] = np.ascontiguousarray(block[:, k])
             contexts.append(
                 _TargetContext(
-                    target, new_dists, candidates, kernel_columns, proj, anchor
+                    target,
+                    matrix,
+                    vocab,
+                    trained_rows[candidates],
+                    self.model.phi[candidates] @ self.model.psi[target.index].T,
+                    new_rows,
+                    reaches,
                 )
             )
         return contexts
@@ -656,6 +543,14 @@ class ForwardDynamicExtender:
         if len(candidates) <= count:
             return list(candidates)
         return [candidates[int(i)] for i in self._choose_indices(len(candidates), count)]
+
+
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the given CSR rows' entries, row after row, and row lengths."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum()), lengths
 
 
 def _expected_kernels(

@@ -101,7 +101,17 @@ class Database:
         self._fk_backward: dict[str, dict[int, set[int]]] = {
             fk.name: {} for fk in schema.foreign_keys
         }
+        # dangling-reference index: fk.name -> referenced key -> ids of the
+        # source facts whose non-null reference names that key while no fact
+        # holds it; they link up when a fact with the key arrives
+        self._dangling: dict[str, dict[tuple[Value, ...], set[int]]] = {
+            fk.name: {} for fk in schema.foreign_keys
+        }
         self._facts_by_id: dict[int, Fact] = {}
+        # fact id -> indexing order, so dangling referrers link in the order a
+        # scan of their relation would meet them
+        self._seq: dict[int, int] = {}
+        self._next_seq = 0
         self._next_id = 0
         # mutation counter plus a bounded changelog of (version, op, fact)
         # events; incremental consumers (the compiled walk engine) sync by
@@ -233,39 +243,64 @@ class Database:
         self._facts_by_id[fact.fact_id] = fact
         self._facts_by_relation[fact.relation][fact.fact_id] = fact
         self._key_index[fact.relation][fact.key_values()] = fact
-        # connect FKs where this fact is the source
+        self._seq[fact.fact_id] = self._next_seq
+        self._next_seq += 1
         for fk in self.schema.foreign_keys_from(fact.relation):
-            ref = fact.project(fk.source_attrs)
-            if any(v is None for v in ref):
-                continue
-            target = self._key_index[fk.target].get(ref)
-            if target is not None:
-                self._link(fk, fact, target)
-        # connect FKs where this fact is the target (dangling references may
-        # have been inserted before their referenced fact)
+            self._link_source(fk, fact)
+        # references to this fact may have been inserted before it
         for fk in self.schema.foreign_keys_to(fact.relation):
-            key_vals = fact.project(fk.target_attrs)
-            for source in self._facts_by_relation[fk.source].values():
-                if source.fact_id in self._fk_forward[fk.name]:
-                    continue
-                ref = source.project(fk.source_attrs)
-                if any(v is None for v in ref):
-                    continue
-                if ref == key_vals:
-                    self._link(fk, source, fact)
+            self._resolve_dangling(fk, fact)
 
-    def _link(self, fk: ForeignKey, source: Fact, target: Fact) -> None:
-        self._fk_forward[fk.name][source.fact_id] = target
-        self._fk_backward[fk.name].setdefault(target.fact_id, set()).add(source.fact_id)
+    def _link_source(self, fk: ForeignKey, source: Fact) -> None:
+        """Link ``source`` to the fact it references, or record it dangling."""
+        ref = source.project(fk.source_attrs)
+        if any(v is None for v in ref):
+            return
+        target = self._key_index[fk.target].get(ref)
+        if target is not None:
+            self._link(fk.name, source, target)
+        else:
+            self._dangling[fk.name].setdefault(ref, set()).add(source.fact_id)
+
+    def _resolve_dangling(self, fk: ForeignKey, target: Fact) -> None:
+        """Link every dangling reference that names ``target``'s key."""
+        name = fk.name
+        waiting = self._dangling[name].pop(target.project(fk.target_attrs), None)
+        if waiting:
+            for source_id in sorted(waiting, key=self._seq.__getitem__):
+                self._link(name, self._facts_by_id[source_id], target)
+
+    def _link(self, fk_name: str, source: Fact, target: Fact) -> None:
+        self._fk_forward[fk_name][source.fact_id] = target
+        self._fk_backward[fk_name].setdefault(target.fact_id, set()).add(source.fact_id)
 
     def _unlink_source(self, fk: ForeignKey, source: Fact) -> None:
-        target = self._fk_forward[fk.name].pop(source.fact_id, None)
+        """Drop ``source``'s reference via ``fk``, linked or dangling."""
+        name = fk.name
+        target = self._fk_forward[name].pop(source.fact_id, None)
         if target is not None:
-            referrers = self._fk_backward[fk.name].get(target.fact_id)
+            referrers = self._fk_backward[name].get(target.fact_id)
             if referrers is not None:
                 referrers.discard(source.fact_id)
                 if not referrers:
-                    del self._fk_backward[fk.name][target.fact_id]
+                    del self._fk_backward[name][target.fact_id]
+            return
+        ref = source.project(fk.source_attrs)
+        waiting = self._dangling[name].get(ref)
+        if waiting is not None:
+            waiting.discard(source.fact_id)
+            if not waiting:
+                del self._dangling[name][ref]
+
+    def _orphan_referrers(self, fk: ForeignKey, target: Fact) -> None:
+        """Referrers of ``target`` via ``fk`` dangle (it was deleted or re-keyed)."""
+        name = fk.name
+        forward = self._fk_forward[name]
+        dangling = self._dangling[name]
+        for rid in self._fk_backward[name].pop(target.fact_id, ()):
+            forward.pop(rid, None)
+            ref = self._facts_by_id[rid].project(fk.source_attrs)
+            dangling.setdefault(ref, set()).add(rid)
 
     # -------------------------------------------------------------- deletion
 
@@ -275,10 +310,9 @@ class Database:
         for fk in self.schema.foreign_keys_from(fact.relation):
             self._unlink_source(fk, fact)
         for fk in self.schema.foreign_keys_to(fact.relation):
-            referrer_ids = self._fk_backward[fk.name].pop(fact.fact_id, set())
-            for rid in referrer_ids:
-                self._fk_forward[fk.name].pop(rid, None)
+            self._orphan_referrers(fk, fact)
         del self._facts_by_id[fact.fact_id]
+        del self._seq[fact.fact_id]
         del self._facts_by_relation[fact.relation][fact.fact_id]
         del self._key_index[fact.relation][fact.key_values()]
         self._log_mutation("delete", fact)
@@ -369,35 +403,22 @@ class Database:
         for fk in self.schema.foreign_keys_to(old.relation):
             if key_changed:
                 # sources that referenced the old key now dangle
-                for rid in self._fk_backward[fk.name].pop(old.fact_id, set()):
-                    self._fk_forward[fk.name].pop(rid, None)
+                self._orphan_referrers(fk, old)
             else:
                 # same key: keep the links but swap in the new fact object
+                forward = self._fk_forward[fk.name]
                 for rid in self._fk_backward[fk.name].get(old.fact_id, ()):
-                    self._fk_forward[fk.name][rid] = new
+                    forward[rid] = new
         # ---- install the new fact
         self._facts_by_id[new.fact_id] = new
         self._facts_by_relation[new.relation][new.fact_id] = new
         self._key_index[new.relation][new_key] = new
         for fk in self.schema.foreign_keys_from(new.relation):
-            ref = new.project(fk.source_attrs)
-            if any(v is None for v in ref):
-                continue
-            target = self._key_index[fk.target].get(ref)
-            if target is not None:
-                self._link(fk, new, target)
+            self._link_source(fk, new)
         if key_changed:
-            # sources whose (possibly dangling) references match the new key
+            # sources whose dangling references match the new key
             for fk in self.schema.foreign_keys_to(new.relation):
-                forward = self._fk_forward[fk.name]
-                for source in self._facts_by_relation[fk.source].values():
-                    if source.fact_id in forward:
-                        continue
-                    ref = source.project(fk.source_attrs)
-                    if any(v is None for v in ref):
-                        continue
-                    if ref == new_key:
-                        self._link(fk, source, new)
+                self._resolve_dangling(fk, new)
         self._log_mutation("update", new)
         return new
 

@@ -23,16 +23,20 @@ relation and per-foreign-key mutation counters the scheme actually reads —
 so consumers that share an engine — FoRWaRD training, the dynamic extender,
 the experiment drivers — never recompute a distribution the engine has
 already seen, and a single-fact insert/delete/update during streaming only
-invalidates the schemes whose relations or foreign keys it touched.
-Single-fact queries slice a row of a current destination matrix when one
-exists; otherwise they run an index-backed BFS (O(walk support), so
-one-by-one dynamic insertion stays O(walk) instead of O(database)).  The
-multi-query calls (:meth:`WalkEngine.attribute_rows`,
+invalidates the schemes whose relations or foreign keys it touched.  The
+all-at-once extension batch reads whole attribute matrices and slices the
+rows it needs.
+
+Single-fact queries (the one-by-one extension path) slice a row of a
+current destination matrix when one exists; otherwise they run an
+index-backed BFS (O(walk support), so one-by-one dynamic insertion stays
+O(walk) instead of O(database)).  The multi-query calls
+(:meth:`WalkEngine.attribute_rows`,
 :meth:`WalkEngine.attribute_distributions`) compute one destination row per
 distinct scheme, however many of its attributes they read.  Through
 :meth:`WalkEngine.destination_row`, a second *distinct* fact querying the
-same scheme promotes to the batched matrix; the fused
-:meth:`WalkEngine.attribute_rows` path never promotes.
+same scheme promotes to the batched matrix; :meth:`WalkEngine.attribute_rows`
+never promotes.
 """
 
 from __future__ import annotations
@@ -387,11 +391,13 @@ class WalkEngine:
     ) -> list[tuple[np.ndarray, np.ndarray] | None]:
         """``(values, probabilities)`` per (scheme, attribute) query for one fact.
 
-        The fused single-fact pipeline: one destination propagation per
-        *distinct* scheme — never promoted, so a batch of arrivals never
-        triggers whole-relation matrix builds — and one shared column decode
-        per (end relation, attribute).  Entries are None where the
-        distribution does not exist, exactly like :meth:`attribute_row`.
+        One destination propagation per *distinct* scheme — never promoted
+        to a whole-relation matrix — and one shared column decode per (end
+        relation, attribute).  Entries are None where the distribution does
+        not exist, exactly like :meth:`attribute_row`.  The extension paths
+        do not call it (the batch slices :meth:`attribute_matrix`, the
+        serial path uses :meth:`attribute_distributions`); it is kept
+        because ``perfbench/tracing.py`` installs a span on it.
         """
         return self._attribute_rows(fact, queries, batched=False)
 
@@ -500,9 +506,14 @@ class WalkEngine:
         if compiled_rel.num_dead:
             # tombstoned rows read as ⊥ so they never contribute a value
             codes = np.where(compiled_rel.alive_array(), codes, -1)
-        non_null = np.nonzero(codes >= 0)[0]
+        # built directly in canonical CSR form: one entry per non-⊥ row
+        non_null = codes >= 0
         indicator = sparse.csr_matrix(
-            (np.ones(non_null.size), (non_null, codes[non_null])),
+            (
+                np.ones(int(non_null.sum())),
+                codes[non_null],
+                np.concatenate(([0], np.cumsum(non_null))),
+            ),
             shape=(codes.size, len(column.vocab)),
         )
         vocab = column.vocab_array()

@@ -8,10 +8,9 @@ in the raw table's row order.  The per-relation row order is what an
 exported-then-re-ingested database needs to assign every relation the same
 per-relation fact ordering as the original (which keeps the compiled
 engine's row numbering, value vocabularies, and hence all downstream
-embeddings identical); the cross-relation order is a pure performance
-choice, because :meth:`Database._index_fact` resolves a referencing fact's
-foreign keys in O(1) when its target already exists but scans the whole
-source relation when a *target* arrives after its sources.  Key violations
+embeddings identical); the cross-relation order only keeps references from
+dangling mid-build (:meth:`Database._index_fact` links a target that
+arrives after its sources through its dangling-reference index).  Key violations
 and dangling foreign keys are reported with the table and 1-based data row
 they came from, plus the override that fixes them.
 """

@@ -226,11 +226,6 @@ class EmbeddingService:
         embedder.configure_extension(
             recompute_old_paths=(policy == "recompute"), rng=seed
         )
-        prime = getattr(embedder, "prime_extension", None)
-        if prime is not None:
-            # warm the batched pipeline's fact-independent anchor state at
-            # startup so the first feed batch pays only its marginal cost
-            prime()
         self._tracked_relation = embedder.tracked_relation
         self._arrived: list[Fact] = []  # streamed tracked facts, arrival order
         self._arrived_ids: set[int] = set()

@@ -3,10 +3,11 @@
 :meth:`ForwardDynamicExtender.extend_batch` must be indistinguishable from
 the per-fact serial path under a shared seed (same RNG draw order, same
 equations, same least-squares solutions), its per-sequence memo must be
-draw-free on replay, and its scheme-level caches must be keyed on the
-engine's structural counters — batches touching disjoint foreign keys skip
-recomputation, while an update or delete invalidates exactly the walk
-targets whose schemes traverse the touched relation.
+draw-free on replay, each batch must read one attribute matrix per walk
+target and never the single-fact row path, and the memo's equation blocks
+must be keyed on the engine's structural counters — an update or delete
+rebuilds exactly the blocks of the walk targets whose schemes traverse the
+touched relation.
 """
 
 import numpy as np
@@ -35,7 +36,7 @@ N_TARGETS = 15
 
 #: Rewriting a non-FK STUDIOS attribute bumps only the STUDIOS relation's
 #: struct version (walk structure through STUDIOS is unchanged), so exactly
-#: the targets *ending* on STUDIOS — name and loc — lose cache freshness.
+#: the targets *ending* on STUDIOS — name and loc — lose memo freshness.
 N_STUDIO_TARGETS = 2
 
 
@@ -160,57 +161,60 @@ class TestSequenceMemo:
 
 
 class TestSchemeCacheAccounting:
-    def _counters(self, telemetry):
-        counters = telemetry.metrics.snapshot()["counters"]
-        prefix = "pipeline.cache."
-        return {
-            name[len(prefix):]: value
-            for name, value in counters.items()
-            if name.startswith(prefix)
-        }
+    """Each walk target's batch state comes from one attribute matrix, and
+    the sequence memo's equation blocks are keyed on the engine's
+    structural counters: a mutation rebuilds exactly the blocks of the walk
+    targets whose schemes read the touched relation or foreign key."""
 
-    def test_prime_builds_every_context_once(self, streamed):
-        model, db, new_facts, _ = streamed
-        telemetry = Telemetry()
-        extender = _extender(model, db, new_facts, telemetry)
-        assert len(model.targets) == N_TARGETS
-        extender.prime()
-        counts = self._counters(telemetry)
-        assert counts.get("context.misses", 0) == N_TARGETS
-        assert counts.get("context.hits", 0) == 0
-        extender.prime()  # idempotent: every context is now struct-fresh
-        counts = self._counters(telemetry)
-        assert counts.get("context.hits", 0) == N_TARGETS
-        assert counts.get("context.misses", 0) == N_TARGETS
+    def _memo_blocks(self, extender):
+        return [record["blocks"] for record in extender._sequence_cache["facts"]]
 
-    def test_pure_appends_hit_every_cache(self, streamed):
+    def _rebuilt_targets(self, before, after):
+        """Targets per fact whose memo block is no longer the recorded one."""
+        return [
+            {t for t, block in blocks.items() if block is not old.get(t)}
+            for old, blocks in zip(before, after)
+        ]
+
+    def test_churn_batch_slices_attribute_matrices(self, streamed, monkeypatch):
         model, db, new_facts, prediction = streamed
         telemetry = Telemetry()
         extender = _extender(model, db, new_facts, telemetry)
-        extender.prime()
-        extender.rng = ensure_rng(3)
-        extender.extend_batch(prediction)
-        first = self._counters(telemetry)
-        # an insert-only stream never changes struct signatures, so the
-        # second pass reuses every context and every new-fact distribution
-        assert first.get("newdist.misses", 0) == N_TARGETS * len(prediction)
-        extender.rng = ensure_rng(3)
-        extender.extend_batch(prediction)
-        second = self._counters(telemetry)
-        assert second["newdist.hits"] - first.get("newdist.hits", 0) == (
-            N_TARGETS * len(prediction)
+        row_calls = []
+        monkeypatch.setattr(
+            WalkEngine, "attribute_rows",
+            lambda self, *args: row_calls.append(args),
         )
-        assert second["newdist.misses"] == first["newdist.misses"]
-        assert second["context.misses"] == first["context.misses"]
+        counters = telemetry.metrics.snapshot
+        extender.rng = ensure_rng(3)
+        extender.extend_batch(prediction)
+        misses = counters()["counters"].get("engine.cache.attr.misses", 0)
+        assert 0 < misses <= N_TARGETS
+
+        # one churn batch: a delete, an update and an insert, then re-embed
+        victim = next(f for f in db.facts("ACTORS") if f["aid"] == "a03")
+        db.delete(victim)
+        extender.notify_deleted([victim])
+        studio = db.facts("STUDIOS")[0]
+        db.update(studio, {"loc": "NY"})
+        extender.notify_updated([db.fact(studio.fact_id)])
+        arrival = db.insert("MOVIES", {
+            "mid": "m98", "studio": "s01", "title": "Prequel",
+            "genre": "Drama", "budget": 40,
+        })
+        extender.notify_inserted([arrival])
+        extender.rng = ensure_rng(3)
+        extender.extend_batch([*prediction, arrival])
+        after = counters()["counters"]["engine.cache.attr.misses"]
+        assert after - misses <= N_TARGETS
+        assert row_calls == []
 
     def test_disjoint_fk_update_invalidates_only_studio_targets(self, streamed):
         model, db, new_facts, prediction = streamed
-        telemetry = Telemetry()
-        extender = _extender(model, db, new_facts, telemetry)
-        extender.prime()
+        extender = _extender(model, db, new_facts)
         extender.rng = ensure_rng(3)
         extender.extend_batch(prediction)
-        before = self._counters(telemetry)
+        before = self._memo_blocks(extender)
 
         # rewriting a STUDIOS attribute bumps the structural counters of the
         # studio FK and of STUDIOS itself — and nothing else
@@ -219,38 +223,44 @@ class TestSchemeCacheAccounting:
         extender.notify_updated([db.fact(studio.fact_id)])
         extender.rng = ensure_rng(3)
         extender.extend_batch(prediction)
-        after = self._counters(telemetry)
-        assert after["newdist.misses"] - before["newdist.misses"] == (
-            N_STUDIO_TARGETS * len(prediction)
-        )
-        assert after["newdist.hits"] - before["newdist.hits"] == (
-            (N_TARGETS - N_STUDIO_TARGETS) * len(prediction)
-        )
+        rebuilt = self._rebuilt_targets(before, self._memo_blocks(extender))
+        studio_targets = {
+            target.index
+            for target in model.targets
+            if target.scheme.end_relation == "STUDIOS"
+        }
+        assert len(studio_targets) == N_STUDIO_TARGETS
+        for fact_blocks, targets in zip(before, rebuilt):
+            assert targets == studio_targets & set(fact_blocks)
+        assert any(rebuilt)
 
     def test_delete_invalidates_like_update(self, streamed):
         model, db, new_facts, prediction = streamed
-        telemetry = Telemetry()
-        extender = _extender(model, db, new_facts, telemetry)
-        extender.prime()
+        # an actor no walk reaches: deleting it changes no candidate count,
+        # so every fact keeps its recorded draws
+        victim = db.insert("ACTORS", {"aid": "a99", "name": "Extra", "worth": 1})
+        extender = _extender(model, db, [*new_facts, victim])
         extender.rng = ensure_rng(3)
         extender.extend_batch(prediction)
-        before = self._counters(telemetry)
+        before = self._memo_blocks(extender)
 
         # deleting an ACTORS fact tombstones its row — the ACTORS struct
-        # version is bumped, so the four ACTORS-ending targets (name/worth
-        # through actor1 and actor2) lose struct freshness; nothing else does
-        victim = next(f for f in db.facts("ACTORS") if f["aid"] == "a03")
+        # version is bumped, so only the four ACTORS-ending targets
+        # (name/worth through actor1 and actor2) rebuild their blocks
         db.delete(victim)
         extender.notify_deleted([victim])
         extender.rng = ensure_rng(3)
         extender.extend_batch(prediction)
-        after = self._counters(telemetry)
-        assert after["newdist.misses"] - before["newdist.misses"] == (
-            4 * len(prediction)
-        )
-        assert after["newdist.hits"] - before["newdist.hits"] == (
-            (N_TARGETS - 4) * len(prediction)
-        )
+        rebuilt = self._rebuilt_targets(before, self._memo_blocks(extender))
+        actor_targets = {
+            target.index
+            for target in model.targets
+            if target.scheme.end_relation == "ACTORS"
+        }
+        assert len(actor_targets) == 4
+        for fact_blocks, targets in zip(before, rebuilt):
+            assert targets == actor_targets & set(fact_blocks)
+        assert any(rebuilt)
 
     def test_batched_embeddings_survive_invalidation(self, streamed):
         model, db, new_facts, prediction = streamed
@@ -272,17 +282,8 @@ class TestSchemeCacheAccounting:
                 streamed_result[fact_id], vector, atol=1e-12
             )
 
-
-class TestPrime:
-    def test_prime_does_not_consume_randomness(self, streamed):
-        model, db, new_facts, prediction = streamed
-        primed = _extender(model, db, new_facts)
-        primed.rng = ensure_rng(42)
-        primed.prime()
-        primed_result = primed.extend_batch(prediction)
-
-        unprimed = _extender(model, db, new_facts)
-        unprimed.rng = ensure_rng(42)
-        unprimed_result = unprimed.extend_batch(prediction)
-        for fact_id, vector in unprimed_result.items():
-            assert np.array_equal(primed_result[fact_id], vector)
+    def test_requires_recomputed_old_paths(self, streamed):
+        model, db, _, prediction = streamed
+        extender = ForwardDynamicExtender(model, db, recompute_old_paths=False)
+        with pytest.raises(ValueError, match="recompute_old_paths"):
+            extender.extend_batch(prediction)

@@ -3,6 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.db import Database
+from repro.db.errors import KeyViolation
 from repro.datasets.movies import movies_schema
 
 
@@ -80,3 +81,86 @@ def test_copy_is_deep_with_respect_to_fact_sets(db):
         clone.delete(fact)
     assert db.num_facts("MOVIES") >= clone.num_facts("MOVIES")
     assert clone.num_facts("MOVIES") == 0
+
+
+#: Small key pools, so random histories keep re-using keys: references
+#: dangle, resolve, dangle again when their target is deleted or re-keyed.
+KEYS = {
+    "STUDIOS": ("s1", "s2", "s3"),
+    "MOVIES": ("m1", "m2", "m3", "m4"),
+    "ACTORS": ("a1", "a2"),
+}
+
+
+def _random_row(draw, relation):
+    if relation == "STUDIOS":
+        return {"sid": draw(st.sampled_from(KEYS["STUDIOS"])), "loc": "LA"}
+    if relation == "MOVIES":
+        return {
+            "mid": draw(st.sampled_from(KEYS["MOVIES"])),
+            "studio": draw(st.sampled_from(KEYS["STUDIOS"] + (None,))),
+            "genre": draw(st.sampled_from(["Drama", None])),
+        }
+    if relation == "ACTORS":
+        return {"aid": draw(st.sampled_from(KEYS["ACTORS"]))}
+    return {
+        "actor1": draw(st.sampled_from(KEYS["ACTORS"])),
+        "actor2": draw(st.sampled_from(KEYS["ACTORS"])),
+        "movie": draw(st.sampled_from(KEYS["MOVIES"])),
+    }
+
+
+def _fk_state(db):
+    """The FK indexes as comparable plain values."""
+    forward = {
+        name: {fid: target.fact_id for fid, target in index.items()}
+        for name, index in db._fk_forward.items()
+    }
+    backward = {
+        name: {fid: set(sources) for fid, sources in index.items()}
+        for name, index in db._fk_backward.items()
+    }
+    dangling = {
+        name: {ref: set(sources) for ref, sources in index.items()}
+        for name, index in db._dangling.items()
+    }
+    return forward, backward, dangling
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_fk_indexes_match_rebuild_after_random_crud(data):
+    """Incrementally maintained FK indexes — dangling references included —
+    equal those of a database rebuilt from the surviving facts."""
+    db = Database(movies_schema())
+    for _ in range(data.draw(st.integers(1, 30), label="n_ops")):
+        op = data.draw(st.sampled_from(["insert", "insert", "delete", "update"]))
+        relation = data.draw(st.sampled_from(sorted(KEYS) + ["COLLABORATIONS"]))
+        facts = list(db.facts(relation))
+        try:
+            if op == "insert":
+                db.insert(relation, _random_row(data.draw, relation))
+            elif op == "delete" and facts:
+                db.delete(data.draw(st.sampled_from(facts)))
+            elif op == "update" and facts:
+                fact = data.draw(st.sampled_from(facts))
+                changes = _random_row(data.draw, relation)
+                attribute = data.draw(st.sampled_from(sorted(changes)))
+                db.update(fact, {attribute: changes[attribute]})
+        except KeyViolation:
+            continue
+    rebuilt = Database(movies_schema())
+    for fact in db:
+        rebuilt.reinsert(fact)
+    assert _fk_state(db) == _fk_state(rebuilt)
+    # every non-null reference either resolves or is recorded as dangling
+    for fk in db.schema.foreign_keys:
+        for fact in db.facts(fk.source):
+            ref = fact.project(fk.source_attrs)
+            linked = fact.fact_id in db._fk_forward[fk.name]
+            waiting = fact.fact_id in db._dangling[fk.name].get(ref, ())
+            if any(v is None for v in ref):
+                assert not linked and not waiting
+            else:
+                assert linked != waiting
+                assert linked == (db.lookup_by_key(fk.target, ref) is not None)

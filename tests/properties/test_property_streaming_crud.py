@@ -3,10 +3,11 @@
 The convergence claim behind the ``recompute`` serving policy, attacked
 with randomized churn: *any* seeded sequence of mixed insert/delete/update
 batches, driven incrementally through :meth:`ForwardDynamicExtender.
-extend_batch` (scheme caches, sequence memo, struct-counter invalidation
-and all), must land on exactly what a fresh extender computes on the final
-database — to 1e-12 — including sequences whose delete batches straddle
-the engine's lazy compaction threshold.
+extend_batch` (sequence memo, struct-counter invalidation and all), must
+land on exactly what a fresh extender computes on the final database — and
+on what the serial :meth:`ForwardDynamicExtender.embed_fact` computes — to
+1e-12, including sequences whose delete batches straddle the engine's lazy
+compaction threshold.
 """
 
 import numpy as np
@@ -139,6 +140,21 @@ def _run_churn(data, compact_min_dead=None):
 def test_random_crud_sequences_converge_to_fresh_recompile(data):
     db, _engine, alive, prediction, final = _run_churn(data)
     expected = _fresh_embeddings(db, alive, prediction)
+    assert set(final) == set(expected)
+    for fact_id, vector in expected.items():
+        np.testing.assert_allclose(final[fact_id], vector, atol=1e-12, rtol=0)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_random_crud_sequences_match_serial_embed_fact(data):
+    """The single oracle: after any CRUD history, the incrementally driven
+    batch equals the serial per-fact path under the same seed."""
+    db, _engine, _alive, prediction, final = _run_churn(data)
+    serial = ForwardDynamicExtender(
+        MODEL, db, recompute_old_paths=True, rng=SEED, engine=WalkEngine(db)
+    )
+    expected = {fact.fact_id: serial.embed_fact(fact) for fact in prediction}
     assert set(final) == set(expected)
     for fact_id, vector in expected.items():
         np.testing.assert_allclose(final[fact_id], vector, atol=1e-12, rtol=0)
