@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.index.bench import KNN_KIND, check_knn, render_knn
+from repro.obs.overhead import OVERHEAD_KIND, check_overhead, render_overhead
 from repro.serve.loadgen import LOAD_KIND, check_load, render_load
 from repro.service.replay import REPLAY_KIND, check_report, render_report
 
@@ -24,6 +25,7 @@ ARTIFACT_KINDS: dict[
     LOAD_KIND: (check_load, render_load),
     KNN_KIND: (check_knn, render_knn),
     REPLAY_KIND: (check_report, render_report),
+    OVERHEAD_KIND: (check_overhead, render_overhead),
 }
 
 

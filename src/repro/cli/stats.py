@@ -15,8 +15,9 @@ aggregated per span name; Chrome traces are recognised and counted.
 ``BENCH_*.json`` files are accepted in place of a metrics payload and
 rendered by their ``kind`` through
 :data:`repro.cli.artifacts.ARTIFACT_KINDS`: ``load_test``
-(``BENCH_load.json``), ``knn_bench`` (``BENCH_knn.json``) and ``replay``
-(the report of ``python -m repro replay``).  A payload without a registered
+(``BENCH_load.json``), ``knn_bench`` (``BENCH_knn.json``), ``replay``
+(the report of ``python -m repro replay``) and ``obs_overhead``
+(``BENCH_obs_overhead.json``).  A payload without a registered
 kind is rendered as metrics.
 
 No recomputation happens here: the artifacts are self-contained, so the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Sequence
 
 import numpy as np
@@ -20,13 +21,19 @@ class EqualityKernel(Kernel):
         return 1.0 if a == b else 0.0
 
     def cross_matrix(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
-        out = np.zeros((len(xs), len(ys)), dtype=np.float64)
-        index: dict[Any, list[int]] = {}
-        for j, y in enumerate(ys):
-            index.setdefault(y, []).append(j)
-        for i, x in enumerate(xs):
-            for j in index.get(x, ()):  # noqa: B909 - read-only
-                out[i, j] = 1.0
+        # each distinct value's first position in ys, under dict equality,
+        # which is the scalar kernel's: 1 == 1.0 == True, tuples compare by
+        # value and a NaN matches only the very same object
+        n, m = len(xs), len(ys)
+        position = dict(zip(reversed(ys), range(m - 1, -1, -1)))
+        x_pos = np.fromiter(map(position.get, xs, repeat(-1)), dtype=np.int64, count=n)
+        out = np.zeros((n, m), dtype=np.float64)
+        rows = np.flatnonzero(x_pos >= 0)
+        out[rows, x_pos[rows]] = 1.0
+        if len(position) < m:  # a repeated value copies its first column
+            y_pos = np.fromiter(map(position.__getitem__, ys), dtype=np.int64, count=m)
+            repeats = np.flatnonzero(y_pos != np.arange(m))
+            out[:, repeats] = out[:, y_pos[repeats]]
         return out
 
     def elementwise(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:

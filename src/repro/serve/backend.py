@@ -54,6 +54,11 @@ class LocalBackend:
         self._g_staleness = metrics.gauge("serve.staleness_versions")
         self._c_queries = metrics.counter("serve.queries")
 
+    @property
+    def telemetry(self) -> Telemetry:
+        """The attached bundle; the HTTP edge counts its refusals on it."""
+        return self._telemetry
+
     # ----------------------------------------------------------- resolving
 
     def _resolve(self, version: int | None) -> tuple[StoreSnapshot, int, int]:

@@ -3,21 +3,25 @@
 :class:`ServeClient` mirrors the :class:`~repro.serve.backend.LocalBackend`
 method-for-method and returns the same JSON dicts, so callers (the load
 generator, replica processes attaching to a served store, tests) can swap
-the in-process and networked transports without code changes.  Stdlib-only
-(``http.client``); each client owns one persistent connection, so use one
-client per thread — connections are not thread-safe.
+the in-process and networked transports without code changes.  Each client
+owns one persistent ``TCP_NODELAY`` socket framed by
+:mod:`repro.serve.wire`, so use one client per thread — connections are
+not thread-safe.
 
-Floats survive the HTTP round trip exactly: both ends serialise with
-Python's ``repr``-based JSON float encoding, which round-trips IEEE-754
-doubles losslessly, so a pinned remote reader sees results bit-identical
-to a local reader of the same version.
+Results are exact by construction: ``fact_ids`` and ``vectors`` arrive as
+the little-endian bytes of the server's arrays, not as decimal text, so a
+pinned remote reader sees results bit-identical to a local reader of the
+same version (``-0.0``, infinities, NaN and subnormals included).  The
+remaining floats (kNN scores) are JSON, whose ``repr`` encoding also
+round-trips IEEE-754 doubles.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-from http.client import HTTPConnection
+
+from repro.serve.wire import Wire, decode_arrays
 
 
 class ServeError(RuntimeError):
@@ -26,6 +30,10 @@ class ServeError(RuntimeError):
     def __init__(self, status: int, message: str):
         super().__init__(f"HTTP {status}: {message}")
         self.status = status
+
+
+class _Stale(ConnectionError):
+    """The connection closed or reset before a byte of the answer arrived."""
 
 
 class ServeClient:
@@ -39,49 +47,73 @@ class ServeClient:
         self.host = host
         self.port = int(port)
         self.timeout = float(timeout)
-        self._conn: HTTPConnection | None = None
+        self._wire: Wire | None = None
 
     # ----------------------------------------------------------- transport
 
-    def _connection(self) -> HTTPConnection:
-        if self._conn is None:
-            self._conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
-            self._conn.connect()
+    def _connection(self) -> Wire:
+        if self._wire is None:
+            sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
             # small request/response pairs on a keep-alive connection: never
             # let Nagle hold a packet back waiting for a delayed ACK
-            self._conn.sock.setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
-        return self._conn
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._wire = Wire(sock)
+        return self._wire
 
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
-        payload = None
-        headers = {}
-        if body is not None:
-            payload = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        conn = self._connection()
+        payload = b"" if body is None else json.dumps(body).encode("utf-8")
+        message = (
+            f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(payload)}\r\n\r\n"
+        ).encode("latin-1") + payload
         try:
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
-        except (ConnectionError, OSError):
-            # stale keep-alive connection: reconnect once
-            self.close()
-            conn = self._connection()
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
-        result = json.loads(data.decode("utf-8")) if data else {}
-        if response.status >= 300:
-            raise ServeError(response.status, str(result.get("error", result)))
+            status, data = self._exchange(message)
+        except _Stale:
+            # the server dropped the kept-alive connection: reconnect once
+            status, data = self._exchange(message)
+        result = json.loads(data) if data else {}
+        if status >= 300:
+            raise ServeError(status, str(result.get("error", result)))
         return result
+
+    def _exchange(self, message: bytes) -> tuple[int, bytes]:
+        """Send one request; ``(status, body)`` of its answer.
+
+        Raises :class:`_Stale` when no byte of the answer arrived, the one
+        case in which resending is safe.
+        """
+        wire = self._connection()
+        before = wire.bytes_read
+        try:
+            wire.sock.sendall(message)
+            head = wire.read_head()
+            if head is None:
+                raise _Stale
+            status_line, headers = head
+            version, _, rest = status_line.partition(" ")
+            if not version.startswith("HTTP/") or not rest[:3].isdigit():
+                raise ValueError(f"malformed status line {status_line!r:.80}")
+            length = headers.get("content-length", "")
+            if not length.isdigit():
+                raise ValueError(f"answer without a valid Content-Length: {length!r:.40}")
+            data = wire.read_body(int(length))
+        except ConnectionError as exc:
+            self.close()
+            if wire.bytes_read == before:
+                raise _Stale from exc
+            raise
+        except BaseException:
+            self.close()
+            raise
+        if headers.get("connection", "").lower() == "close" or version == "HTTP/1.0":
+            self.close()
+        return int(rest[:3]), data
 
     def close(self) -> None:
         """Close the persistent connection (reopened lazily on next call)."""
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._wire is not None:
+            self._wire.sock.close()
+            self._wire = None
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -108,7 +140,7 @@ class ServeClient:
         body: dict = {"fact_ids": [int(fid) for fid in fact_ids]}
         if version is not None:
             body["version"] = int(version)
-        return self._request("POST", "/fetch", body)
+        return decode_arrays(self._request("POST", "/fetch", body))
 
     def knn(
         self,
@@ -140,7 +172,7 @@ class ServeClient:
         body: dict = {"relation": relation}
         if version is not None:
             body["version"] = int(version)
-        return self._request("POST", "/slice", body)
+        return decode_arrays(self._request("POST", "/slice", body))
 
     # ------------------------------------------------------------- pinning
 

@@ -1,19 +1,22 @@
 """A thin HTTP/JSON front end over :class:`~repro.serve.backend.LocalBackend`.
 
-Stdlib-only (``http.server``): a :class:`EmbeddingServer` wraps a backend
-in a ``ThreadingHTTPServer`` — one handler thread per connection, all of
-them readers against immutable snapshots, so the GIL-released numpy kernels
-(kNN matrix product, fetch gathers) overlap across requests while a writer
-thread commits through the same store.
+:class:`EmbeddingServer` accepts connections on a
+``socketserver.ThreadingTCPServer`` and runs one keep-alive request loop
+per connection on its own handler thread, all of them readers against
+immutable snapshots, so the GIL-released numpy kernels (kNN matrix
+product, fetch gathers) overlap across requests while a writer thread
+commits through the same store.  The HTTP/1.1 framing is the lean one in
+:mod:`repro.serve.wire`, shared with the client.
 
-Protocol (all bodies JSON; responses carry ``version``/``head_version``/
-``staleness`` on every query):
+Protocol (request bodies and responses are JSON; responses carry
+``version``/``head_version``/``staleness`` on every query):
 
 ====================  =====================================================
 ``GET /health``        liveness + head version
 ``GET /stats``         router/backend bookkeeping
 ``GET /versions``      resolvable versions, head, pinned set
-``POST /fetch``        ``{"fact_ids": [..], "version": v?}``
+``POST /fetch``        ``{"fact_ids": [..], "version": v?}``, at most
+                       :data:`MAX_FETCH_IDS` ids
 ``POST /knn``          ``{"query": fid|[floats], "k": 5?, "relation": R?,
                        "version": v?, "index": "exact"|"ivf"?, "nprobe": n?}``
 ``POST /slice``        ``{"relation": R, "version": v?}``
@@ -21,130 +24,275 @@ Protocol (all bodies JSON; responses carry ``version``/``head_version``/
 ``POST /release``      ``{"version": v}`` — drop one lease
 ====================  =====================================================
 
+The ``fact_ids`` and ``vectors`` of ``/fetch`` and ``/slice`` answers are
+binary array fields, ``{"dtype": "<i8"|"<f8", "shape": [..], "b64": ..}``
+(see :mod:`repro.serve.wire`); :class:`~repro.serve.client.ServeClient`
+decodes them back to the backend's lists.
+
 Errors map to HTTP status: unknown fact/version → 404, malformed request
-→ 400, anything else → 500, always with ``{"error": ...}``; a 500 says only
-``"internal error"``, never the exception text.  A ``Content-Length`` that
-is negative (400) or above :data:`MAX_BODY_BYTES` (413) is refused before
-any of the body is read, and the connection is closed.  Bind with
-``port=0`` to let the OS pick a free port (tests do); ``server.port``
-reports the bound one.  :class:`~repro.serve.client.ServeClient` is the
-matching client.
+→ 400, a method other than GET/POST → 405, anything else → 500, always
+with ``{"error": ...}``; a 500 says only ``"internal error"``, never the
+exception text.  ``k`` and ``nprobe`` must be integers ≥ 1, ``version``
+an integer and ``fact_ids`` a list of integers.
+
+Edge bounds: a start line over 64 KiB answers 414, a header line over
+64 KiB or more than 100 headers 431; a ``Content-Length`` that is
+malformed or negative (400) or above :data:`MAX_BODY_BYTES` (413), and any
+``Transfer-Encoding`` (400), are refused before a byte of the body is read
+and the connection is closed.  A connection that has not delivered a whole
+request within :data:`IDLE_TIMEOUT_S` of accepting it or of the last
+answer is closed.  Each refusal counts as ``serve.rejects.{reason}`` on the
+backend's telemetry.  HTTP/1.0 peers, ``Connection: close`` and
+``Expect: 100-continue`` are honoured.
+
+Bind with ``port=0`` to let the OS pick a free port (tests do);
+``server.port`` reports the bound one.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from email.utils import formatdate
+from http import HTTPStatus
 
 from repro.serve.backend import LocalBackend
+from repro.serve.wire import Refused, Wire, encode_arrays
 
 MAX_BODY_BYTES = 1 << 20
 """Largest request body the server reads (1 MiB)."""
 
+MAX_FETCH_IDS = 10_000
+"""Most fact ids one ``/fetch`` may name."""
 
-class _Refused(Exception):
-    """A request refused before its body is read."""
-
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
+IDLE_TIMEOUT_S = 60.0
+"""Seconds a connection may take to deliver its next whole request."""
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the owning server's backend."""
+def _count_reject(backend: LocalBackend, reason: str) -> None:
+    backend.telemetry.metrics.counter(f"serve.rejects.{reason}").inc()
 
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-serve"
-    # headers and body go out as separate writes; without TCP_NODELAY the
-    # second write stalls ~40ms behind the peer's delayed ACK (Nagle)
-    disable_nagle_algorithm = True
 
-    # the EmbeddingServer injects itself here via a subclass attribute
-    embedding_server: "EmbeddingServer"
+# ------------------------------------------------------------ request head
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # keep the serving hot path quiet; telemetry covers it
 
-    def _respond(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+def _parse_head(start_line: str, headers: dict[str, str]) -> tuple[str, str, str, int]:
+    """``(method, path, connection, content length)`` of a request head.
 
-    def _body(self) -> dict:
+    ``connection`` is ``"close"``, ``"keep-alive"`` (an HTTP/1.0 peer that
+    asked for it) or ``""`` (HTTP/1.1 keep-alive, the default).
+    """
+    parts = start_line.split()
+    if len(parts) != 3 or parts[2] not in ("HTTP/1.0", "HTTP/1.1"):
+        raise Refused(400, "bad_request_line", f"malformed request line {start_line!r:.80}")
+    method, path, version = parts
+    if "transfer-encoding" in headers:
+        raise Refused(400, "transfer_encoding", "Transfer-Encoding bodies are not accepted")
+    tokens = {t.strip() for t in headers.get("connection", "").lower().split(",")}
+    if "close" in tokens:
+        connection = "close"
+    elif version == "HTTP/1.0":
+        connection = "keep-alive" if "keep-alive" in tokens else "close"
+    else:
+        connection = ""
+    value = headers.get("content-length", "0")
+    if not (value.isascii() and value.isdigit()):
+        raise Refused(400, "content_length", f"malformed Content-Length {value!r:.40}")
+    # a long digit string is over the cap whatever it says (and int() of
+    # one over 4300 digits raises)
+    length = int(value) if len(value) <= 20 else MAX_BODY_BYTES + 1
+    if length > MAX_BODY_BYTES:
+        raise Refused(413, "body_too_large", f"request body over {MAX_BODY_BYTES} bytes")
+    return method, path, connection, length
+
+
+# ----------------------------------------------------------------- routing
+
+
+def _json_object(body: bytes) -> dict:
+    if not body:
+        return {}
+    try:
+        data = json.loads(body.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("request body nested too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError("request body must be a JSON object")
+    return data
+
+
+def _int(value: object, name: str, minimum: int | None = None) -> int:
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise Refused(400, f"bad_{name}", f"{name} must be an integer{bound}, got {value!r:.40}")
+    return value
+
+
+def _optional_int(body: dict, name: str, minimum: int | None = None) -> int | None:
+    value = body.get(name)
+    return None if value is None else _int(value, name, minimum)
+
+
+def _str(value: object, name: str) -> str:
+    if not isinstance(value, str):
+        raise Refused(400, f"bad_{name}", f"{name} must be a string, got {value!r:.40}")
+    return value
+
+
+def _optional_str(body: dict, name: str) -> str | None:
+    value = body.get(name)
+    return None if value is None else _str(value, name)
+
+
+def _required(body: dict, name: str) -> object:
+    if name not in body:
+        raise ValueError(f"request body lacks {name!r}")
+    return body[name]
+
+
+def _fact_ids(body: dict) -> list[int]:
+    fact_ids = _required(body, "fact_ids")
+    if not isinstance(fact_ids, list):
+        raise Refused(400, "bad_fact_ids", "fact_ids must be a list of integers")
+    if len(fact_ids) > MAX_FETCH_IDS:
+        raise Refused(400, "too_many_ids", f"at most {MAX_FETCH_IDS} fact ids per fetch")
+    return [_int(fid, "fact_ids") for fid in fact_ids]
+
+
+def _query(body: dict) -> int | list:
+    query = _required(body, "query")
+    if isinstance(query, list):
+        if not all(type(x) in (int, float) for x in query):
+            raise Refused(400, "bad_query", "a query vector must be a list of numbers")
+        return query
+    return _int(query, "query")
+
+
+def _route(backend: LocalBackend, method: str, path: str, body: bytes) -> tuple[int, dict]:
+    """``(status, payload)`` of one request; raises what the backend raises."""
+    if method == "GET":
+        if path == "/health":
+            return 200, {"ok": True, "head_version": backend.router.head_version()}
+        if path == "/stats":
+            return 200, backend.stats()
+        if path == "/versions":
+            return 200, backend.versions()
+        return 404, {"error": f"unknown endpoint {path!r}"}
+    if method != "POST":
+        return 405, {"error": f"method {method!r} not allowed"}
+    request = _json_object(body)
+    version = _optional_int(request, "version")
+    if path == "/fetch":
+        result = encode_arrays(backend.fetch(_fact_ids(request), version=version))
+    elif path == "/knn":
+        result = backend.knn(
+            _query(request),
+            k=_int(request.get("k", 5), "k", 1),
+            relation=_optional_str(request, "relation"),
+            version=version,
+            index=_optional_str(request, "index"),
+            nprobe=_optional_int(request, "nprobe", 1),
+        )
+    elif path == "/slice":
+        relation = _str(_required(request, "relation"), "relation")
+        result = encode_arrays(backend.slice(relation, version=version))
+    elif path == "/pin":
+        result = backend.pin(version)
+    elif path == "/release":
+        result = backend.release(_int(_required(request, "version"), "version"))
+    else:
+        return 404, {"error": f"unknown endpoint {path!r}"}
+    return 200, result
+
+
+def _answer(backend: LocalBackend, method: str, path: str, body: bytes) -> tuple[int, bytes]:
+    """``(status, JSON body)`` answering one request; never raises."""
+    try:
+        status, payload = _route(backend, method, path, body)
+        return status, _json_bytes(payload)
+    except Refused as exc:
+        _count_reject(backend, exc.reason)
+        status, error = exc.status, str(exc)
+    except KeyError as exc:
+        status, error = 404, f"not found: {exc}"
+    except (ValueError, TypeError, OverflowError) as exc:
+        status, error = 400, str(exc)
+    except Exception:
+        status, error = 500, "internal error"
+    return status, _json_bytes({"error": error})
+
+
+def _json_bytes(payload: dict) -> bytes:
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
+# -------------------------------------------------------------- connection
+
+
+def _send(wire: Wire, status: int, body: bytes, connection: str) -> None:
+    # reading left the timeout at what remained of the request's deadline;
+    # a peer that does not read its answer gets the full idle time
+    wire.sock.settimeout(IDLE_TIMEOUT_S)
+    head = (
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+        f"Server: repro-serve\r\nDate: {formatdate(usegmt=True)}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+        + (f"Connection: {connection}\r\n" if connection else "")
+        + "\r\n"
+    )
+    wire.sock.sendall(head.encode("latin-1") + body)
+
+
+class _Handler(socketserver.BaseRequestHandler):
+    """One connection's keep-alive loop: read a request, answer it, repeat."""
+
+    server: "_TCPServer"
+
+    def handle(self) -> None:
+        wire = Wire(self.request)
         try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            raise _Refused(400, "malformed Content-Length") from None
-        if length < 0:
-            raise _Refused(400, "negative Content-Length")
-        if length > MAX_BODY_BYTES:
-            raise _Refused(413, f"request body over {MAX_BODY_BYTES} bytes")
-        if length == 0:
-            return {}
-        data = json.loads(self.rfile.read(length).decode("utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError("request body must be a JSON object")
-        return data
+            # small request/response pairs on a keep-alive connection: never
+            # let Nagle hold an answer back waiting for a delayed ACK
+            self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            while self._serve_one(wire):
+                pass
+        except OSError:
+            pass  # the peer reset or went away; the connection is done
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        backend = self.embedding_server.backend
+    def _serve_one(self, wire: Wire) -> bool:
+        """Answer one request; False once the connection should close."""
+        backend = self.server.backend
+        deadline = time.monotonic() + IDLE_TIMEOUT_S
         try:
-            if self.path == "/health":
-                self._respond(
-                    200, {"ok": True, "head_version": backend.router.head_version()}
-                )
-            elif self.path == "/stats":
-                self._respond(200, backend.stats())
-            elif self.path == "/versions":
-                self._respond(200, backend.versions())
-            else:
-                self._respond(404, {"error": f"unknown endpoint {self.path!r}"})
-        except Exception:
-            self._respond(500, {"error": "internal error"})
+            head = wire.read_head(deadline)
+            if head is None:
+                return False
+            method, path, connection, length = _parse_head(*head)
+            if length and head[1].get("expect", "").lower() == "100-continue":
+                wire.sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            body = wire.read_body(length, deadline)
+        except Refused as exc:
+            # an unread body would be parsed as the next request: close
+            _count_reject(backend, exc.reason)
+            _send(wire, exc.status, _json_bytes({"error": str(exc)}), "close")
+            return False
+        except TimeoutError:
+            _count_reject(backend, "timeout")
+            return False
+        except ConnectionError:
+            return False
+        status, answer = _answer(backend, method, path, body)
+        _send(wire, status, answer, connection)
+        return connection != "close"
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        backend = self.embedding_server.backend
-        try:
-            body = self._body()
-            if self.path == "/fetch":
-                result = backend.fetch(
-                    body["fact_ids"], version=body.get("version")
-                )
-            elif self.path == "/knn":
-                result = backend.knn(
-                    body["query"],
-                    k=body.get("k", 5),
-                    relation=body.get("relation"),
-                    version=body.get("version"),
-                    index=body.get("index"),
-                    nprobe=body.get("nprobe"),
-                )
-            elif self.path == "/slice":
-                result = backend.slice(body["relation"], version=body.get("version"))
-            elif self.path == "/pin":
-                result = backend.pin(body.get("version"))
-            elif self.path == "/release":
-                result = backend.release(body["version"])
-            else:
-                self._respond(404, {"error": f"unknown endpoint {self.path!r}"})
-                return
-            self._respond(200, result)
-        except _Refused as exc:
-            # the unread body would be parsed as the next request
-            self.close_connection = True
-            self._respond(exc.status, {"error": str(exc)})
-        except KeyError as exc:
-            self._respond(404, {"error": f"not found: {exc}"})
-        except (ValueError, TypeError, json.JSONDecodeError) as exc:
-            self._respond(400, {"error": str(exc)})
-        except Exception:
-            self._respond(500, {"error": "internal error"})
+
+class _TCPServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
+    backend: LocalBackend
 
 
 class EmbeddingServer:
@@ -163,19 +311,18 @@ class EmbeddingServer:
         port: int = 0,
     ):
         self.backend = backend
-        handler = type("_BoundHandler", (_Handler,), {"embedding_server": self})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._tcp = _TCPServer((host, port), _Handler)
+        self._tcp.backend = backend
         self._thread: threading.Thread | None = None
 
     @property
     def host(self) -> str:
-        return self._httpd.server_address[0]
+        return self._tcp.server_address[0]
 
     @property
     def port(self) -> int:
         """The actually-bound port (resolves ``port=0`` requests)."""
-        return self._httpd.server_address[1]
+        return self._tcp.server_address[1]
 
     @property
     def url(self) -> str:
@@ -184,8 +331,10 @@ class EmbeddingServer:
     def start(self) -> "EmbeddingServer":
         """Begin serving from a background daemon thread."""
         if self._thread is None:
+            # the acceptor checks for stop() every poll interval
             self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
+                target=self._tcp.serve_forever,
+                kwargs={"poll_interval": 0.05},
                 name="repro-serve-http",
                 daemon=True,
             )
@@ -195,10 +344,10 @@ class EmbeddingServer:
     def stop(self) -> None:
         """Stop serving, close the socket and release client-held leases."""
         if self._thread is not None:
-            self._httpd.shutdown()
+            self._tcp.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
-        self._httpd.server_close()
+        self._tcp.server_close()
         self.backend.release_all()
 
     def __enter__(self) -> "EmbeddingServer":

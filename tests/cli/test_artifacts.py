@@ -17,6 +17,7 @@ import pytest
 from repro.cli.artifacts import ARTIFACT_KINDS, artifact_kind
 from repro.cli.stats import render_metrics, render_payload
 from repro.index.bench import KNN_KIND, KNN_SCHEMA_VERSION
+from repro.obs.overhead import MAX_OVERHEAD, OVERHEAD_KIND, OVERHEAD_SCHEMA_VERSION
 from repro.serve.loadgen import LOAD_KIND, LOAD_SCHEMA_VERSION
 from repro.service.replay import REPLAY_KIND, REPLAY_SCHEMA_VERSION
 
@@ -107,10 +108,31 @@ def _replay_report():
     }
 
 
+def _overhead_payload():
+    return {
+        "schema_version": OVERHEAD_SCHEMA_VERSION,
+        "kind": OVERHEAD_KIND,
+        "repro_version": "0.0-test",
+        "dataset": "mondial",
+        "scale": 0.15,
+        "insert_ratio": 0.2,
+        "repeats": 4,
+        "feed_batches": 7,
+        "baseline_apply_seconds": 0.4,
+        "instrumented_apply_seconds": 0.41,
+        "baseline_facts_per_second": 17.5,
+        "instrumented_facts_per_second": 17.0,
+        "overhead_fraction": 0.41 / 0.4 - 1.0,
+        "max_overhead_fraction": MAX_OVERHEAD,
+        "instrumented_stage_coverage": 0.99,
+    }
+
+
 PAYLOADS = {
     LOAD_KIND: _load_payload,
     KNN_KIND: _knn_payload,
     REPLAY_KIND: _replay_report,
+    OVERHEAD_KIND: _overhead_payload,
 }
 
 COMMITTED = sorted(
@@ -130,8 +152,8 @@ def checker():
 
 
 class TestArtifactTable:
-    def test_registers_the_three_bench_kinds(self):
-        assert set(ARTIFACT_KINDS) == {"load_test", "knn_bench", "replay"}
+    def test_registers_the_four_bench_kinds(self):
+        assert set(ARTIFACT_KINDS) == {"load_test", "knn_bench", "replay", "obs_overhead"}
         assert set(PAYLOADS) == set(ARTIFACT_KINDS)
 
     @pytest.mark.parametrize("kind", sorted(PAYLOADS))
@@ -235,6 +257,21 @@ class TestArtifactCheckerDispatch:
         problems = checker.check_artifact(self._write(tmp_path, payload))
         assert any("ivf latency summary is missing" in p for p in problems)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"instrumented_apply_seconds": 0.5, "overhead_fraction": 0.25}, "costs 25.0%"),
+            ({"overhead_fraction": -0.5}, "does not match"),
+            ({"max_overhead_fraction": 0.5}, "max_overhead_fraction"),
+            ({"instrumented_stage_coverage": 0.5}, "coverage"),
+            ({"baseline_apply_seconds": 0.0}, "positive"),
+        ],
+    )
+    def test_overhead_violations_fail(self, checker, tmp_path, change, message):
+        payload = {**_overhead_payload(), **change}
+        problems = checker.check_artifact(self._write(tmp_path, payload))
+        assert any(message in p for p in problems), problems
+
     def test_unknown_kind_is_checked_as_metrics(self, checker, tmp_path):
         payload = {"kind": "throughput_ladder", "rungs": []}
         problems = checker.check_artifact(self._write(tmp_path, payload))
@@ -242,7 +279,7 @@ class TestArtifactCheckerDispatch:
 
     def test_committed_artifacts_are_found(self):
         assert {artifact_kind(json.loads(p.read_text())) for p in COMMITTED} >= {
-            LOAD_KIND, KNN_KIND,
+            LOAD_KIND, KNN_KIND, OVERHEAD_KIND,
         }
 
     @pytest.mark.parametrize("path", COMMITTED, ids=lambda path: path.name)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kernels import (
     EditDistanceKernel,
@@ -110,3 +112,52 @@ class TestExpectedSimilarity:
     def test_empty_distribution_rejected(self):
         with pytest.raises(ValueError):
             EqualityKernel().expected_similarity([], [], ["a"], [1.0])
+
+
+def _loop_cross_matrix(xs, ys):
+    """The scalar-loop form ``EqualityKernel.cross_matrix`` replaced."""
+    out = np.zeros((len(xs), len(ys)), dtype=np.float64)
+    index = {}
+    for j, y in enumerate(ys):
+        index.setdefault(y, []).append(j)
+    for i, x in enumerate(xs):
+        for j in index.get(x, ()):
+            out[i, j] = 1.0
+    return out
+
+
+_HASHABLES = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True, width=16),
+    st.sampled_from([1.0, 0.0, -0.0, float("nan")]),
+    st.text(alphabet="ab1", max_size=2),
+    st.tuples(st.integers(0, 2), st.sampled_from(["a", 1.0])),
+    st.none(),
+)
+
+
+class TestEqualityCrossMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pool=st.lists(_HASHABLES, min_size=1, max_size=12),
+        picks=st.tuples(
+            st.lists(st.integers(0, 11), max_size=15), st.lists(st.integers(0, 11), max_size=15)
+        ),
+    )
+    def test_matches_the_loop(self, pool, picks):
+        # picks index one shared pool, so xs and ys share objects (a NaN too)
+        xs = [pool[i % len(pool)] for i in picks[0]]
+        ys = [pool[i % len(pool)] for i in picks[1]]
+        got = EqualityKernel().cross_matrix(xs, ys)
+        expected = _loop_cross_matrix(xs, ys)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_dict_equality_semantics(self):
+        nan = float("nan")
+        xs = [1, True, 1.0, (1, "a"), nan, float("nan"), "1"]
+        matrix = EqualityKernel().cross_matrix(xs, [1.0, (1, "a"), nan])
+        assert matrix.tolist() == [
+            [1, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0],
+        ]

@@ -29,9 +29,10 @@ Checked for ``--trace`` files (either export flavour):
 ``BENCH_*.json`` artifacts are picked by their ``kind`` alone and validated
 by that kind's check in :data:`repro.cli.artifacts.ARTIFACT_KINDS`:
 ``load_test`` (:func:`repro.serve.loadgen.check_load`), ``knn_bench``
-(:func:`repro.index.bench.check_knn`) and ``replay``
+(:func:`repro.index.bench.check_knn`), ``replay``
 (:func:`repro.service.replay.check_report` — the one-shot tolerance the
-run recorded, and no deleted fact left in the store).  A JSON file without
+run recorded, and no deleted fact left in the store) and ``obs_overhead``
+(:func:`repro.obs.overhead.check_overhead` — the 5% telemetry budget).  A JSON file without
 a registered kind is checked as a metrics payload.
 
 Run from the repository root (CI does)::
