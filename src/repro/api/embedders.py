@@ -20,7 +20,7 @@ from repro.api.registry import register_method
 from repro.core.base import TupleEmbedding
 from repro.core.config import ForwardConfig, Node2VecConfig
 from repro.core.forward import ForwardEmbedder, ForwardModel
-from repro.core.forward_dynamic import ForwardDynamicExtender
+from repro.core.forward_dynamic import ForwardDynamicExtender, anchor_key
 from repro.core.node2vec import Node2VecEmbedder, Node2VecModel
 from repro.core.node2vec_dynamic import Node2VecDynamicExtender
 from repro.db.database import Database, Fact
@@ -132,7 +132,7 @@ class ForwardEmbedding(Embedder):
                 self.model_,
                 self.db_,
                 recompute_old_paths=self._recompute_old_paths,
-                rng=ensure_rng(self._extension_rng),
+                rng=self._extension_rng,
                 engine=self._shared_engine,
             )
             self._shared_engine = self._extender.engine
@@ -177,7 +177,9 @@ class ForwardEmbedding(Embedder):
         self, facts: Sequence[Fact], seed: int | None
     ) -> Mapping[Fact, np.ndarray]:
         extender = self.extender
-        extender.rng = ensure_rng(seed)
+        # the seed keys the anchor picks; the same seed gives the same key,
+        # so re-keying every pass only matters when the seed changes
+        extender.key = anchor_key(seed)
         facts = list(facts)
         vectors = extender.extend_batch(facts)
         updates: dict[Fact, np.ndarray] = {}

@@ -201,8 +201,8 @@ class Embedder(abc.ABC):
         """Deterministically re-embed all streamed ``facts`` (in order).
 
         The service's ``recompute`` policy calls this after every commit;
-        re-seeding from ``seed`` makes the result independent of how the
-        arrivals were batched.  Only methods with
+        a result that depends only on ``seed`` and the current database is
+        independent of how the arrivals were batched.  Only methods with
         :attr:`supports_recompute` implement it.
         """
         raise NotImplementedError(

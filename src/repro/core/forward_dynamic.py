@@ -9,16 +9,21 @@ Equation (9): each sampled triple ``(f_old, s, A)`` contributes one equation
 i.e. a row ``C_i = ψ(s, A)·φ(f_old)`` and right-hand side ``b_i``; the
 minimum-norm least-squares solution (Equation (10)) is ``φ(f_new)``.
 
+The anchors ``f_old`` of a fact and walk target are a bottom-k sample keyed
+on (extension key, fact id, target index, candidate fact id) — see
+:func:`anchor_picks` — so they depend on nothing but the candidate set.
 Distributions are computed by the compiled walk engine.  The one-by-one
 path (:meth:`ForwardDynamicExtender.embed_fact`) queries a single fact's
 rows; the all-at-once batch (:meth:`ForwardDynamicExtender.extend_batch`,
 ``recompute_old_paths``) slices every old and new fact's distribution for a
-walk target out of the engine's attribute matrix and computes every
-right-hand side of the batch in one sparse gather per target.
+walk target out of the engine's attribute matrix, and re-derives only the
+right-hand-side entries and solve operators whose inputs moved since the
+previous batch.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -29,84 +34,173 @@ from repro.core.forward import ForwardModel, WalkTarget
 from repro.db.database import Database, Fact
 from repro.engine import WalkEngine
 from repro.kernels.base import Kernel
-from repro.utils.linalg import solve_least_squares
+from repro.utils.linalg import pseudo_inverse, solve_least_squares
 from repro.utils.rng import ensure_rng
 from repro.walks.random_walks import AttributeDistribution
 
 
-class _TargetContext:
-    """One walk target's share of an extension batch: rows of its attribute
-    matrix.
+def anchor_key(rng: int | np.random.Generator | None) -> int:
+    """The key anchor picks hash with: one draw of ``ensure_rng(rng)``, so an
+    integer seed gives the same picks whichever component builds the extender."""
+    return int(ensure_rng(rng).integers(2**63))
 
-    ``matrix``/``vocab`` are the engine's attribute matrix of the target and
-    its value vocabulary.  ``anchor_rows`` are the matrix rows of the
-    candidate anchors — the trained facts that are alive and reach the
-    target, in ``model.fact_ids`` order — and ``proj`` their projection rows
-    ``φ(f_old)·ψᵀ``.  ``new_rows`` are the batch facts' rows; ``reaches``
-    flags the non-empty ones (the facts with a distribution).
+
+def _mix64(words: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser: a bijective avalanche of ``uint64`` words."""
+    words = words ^ (words >> np.uint64(30))
+    words = words * np.uint64(0xBF58476D1CE4E5B9)
+    words = words ^ (words >> np.uint64(27))
+    words = words * np.uint64(0x94D049BB133111EB)
+    return words ^ (words >> np.uint64(31))
+
+
+def anchor_picks(
+    key: int,
+    fact_ids: np.ndarray,
+    target_index: int,
+    candidate_ids: np.ndarray,
+    count: int,
+) -> np.ndarray:
+    """Positions in ``candidate_ids`` of each fact's anchors, ascending.
+
+    Fact ``f`` picks the ``count`` candidates ``c`` with the smallest hash
+    ``h(key, f, target_index, c)`` — a bottom-k sample (Cohen & Kaplan,
+    PODC 2007).  It is uniform without replacement, and a pure function of
+    the candidate *set*: inserting or deleting a candidate that is not
+    picked leaves the picks bit-identical.  One row per fact; every
+    candidate when there are at most ``count``.
+    """
+    fact_ids = np.asarray(fact_ids, dtype=np.int64)
+    if len(candidate_ids) <= count:
+        return np.broadcast_to(np.arange(len(candidate_ids)), (fact_ids.size, len(candidate_ids)))
+    salt = _mix64(np.array([key, target_index], dtype=np.uint64))
+    streams = _mix64(fact_ids.astype(np.uint64) ^ salt[0]) ^ salt[1]
+    labels = _mix64(np.asarray(candidate_ids, dtype=np.int64).astype(np.uint64))
+    priorities = _mix64(streams[:, None] ^ labels)
+    picks = np.argpartition(priorities, count - 1, axis=1)[:, :count]
+    picks.sort(axis=1)
+    return picks
+
+
+@dataclass(eq=False)
+class _TargetContext:
+    """One walk target's share of an extension batch, kept as the record the
+    next batch diffs against.
+
+    ``matrix``/``vocab``: the target's attribute matrix and vocabulary;
+    ``codebook``: the compiled column's vocabulary list, which only grows
+    (a code keeps its value) until the compiled database is rebuilt;
+    ``candidates``: φ rows of the trained facts alive and reaching it,
+    ascending; ``positions``: batch positions of the facts reaching it.
+    Assembly records the picks' ``key``; per fact, by sorted ``fact_ids``,
+    its matrix row (``fact_rows``), anchor φ rows (``anchors``, ascending)
+    and right-hand sides (``rhs``); and the anchors read (sorted φ rows
+    ``picked``, their ``picked_rows``).
     """
 
-    __slots__ = ("target", "matrix", "vocab", "anchor_rows", "proj", "new_rows", "reaches")
+    target: WalkTarget
+    matrix: sparse.csr_matrix
+    vocab: np.ndarray
+    codebook: list
+    candidates: np.ndarray
+    positions: np.ndarray
+    key: int = 0
+    fact_ids: np.ndarray | None = None
+    fact_rows: np.ndarray | None = None
+    anchors: np.ndarray | None = None
+    rhs: np.ndarray | None = None
+    picked: np.ndarray | None = None
+    picked_rows: np.ndarray | None = None
 
-    def __init__(
-        self,
-        target: WalkTarget,
-        matrix: "sparse.csr_matrix",
-        vocab: np.ndarray,
-        anchor_rows: np.ndarray,
-        proj: np.ndarray,
-        new_rows: np.ndarray,
-        reaches: np.ndarray,
-    ):
-        self.target = target
-        self.matrix = matrix
-        self.vocab = vocab
-        self.anchor_rows = anchor_rows
-        self.proj = proj
-        self.new_rows = new_rows
-        self.reaches = reaches
+    def carries_to(self, current: "_TargetContext") -> bool:
+        """Does every fact this batch recorded keep its picks and entries in
+        ``current``: same key and candidates, and this batch's matrix rows a
+        prefix of ``current``'s, bit for bit (only rows were appended)?
 
-    @property
-    def n_candidates(self) -> int:
-        return self.anchor_rows.size
-
-    def rhs_blocks(
-        self, requests: Sequence[tuple[int, np.ndarray]]
-    ) -> list[np.ndarray]:
-        """``KD(d_old, d_new)`` of every requested (fact index, picked anchors).
-
-        One pass for the whole batch: one kernel evaluation between the codes
-        the picked anchors use and the codes the requesting facts use, each
-        fact's similarity row ``S[fact, u] = Σ_v p_new(v)·K(u, v)``, then
-        every picked anchor's expectation ``Σ_u p_old(u)·S[fact, u]``
-        gathered from its matrix row — O(picks × support), never an anchors
-        × facts matrix.  Each sum runs over one row's entries in row order,
-        so a right-hand side does not depend on what else the batch requests.
+        A fact or anchor read at another row now was deleted in between,
+        and a tombstoned row reads empty, so the prefix test fails for it.
         """
-        counts = [len(picked) for _, picked in requests]
+        old, new = self.matrix, current.matrix
+        rows, nnz = old.shape[0], old.nnz
+        return (
+            self.key == current.key
+            and self.codebook is current.codebook
+            and new.shape[0] >= rows
+            and np.array_equal(self.candidates, current.candidates)
+            and np.array_equal(new.indptr[: rows + 1], old.indptr)
+            and np.array_equal(new.indices[:nnz], old.indices)
+            and np.array_equal(new.data[:nnz], old.data)
+        )
+
+    def moved(
+        self,
+        read: np.ndarray,
+        old_rows: np.ndarray,
+        rows: np.ndarray,
+        current: "_TargetContext",
+    ) -> np.ndarray:
+        """Per row: does ``current.matrix``'s (non-empty) row ``rows[i]``
+        differ from row ``old_rows[i]`` this batch ``read``?  Bit for bit, by
+        value (codes are translated when the vocabulary was rebuilt); a row
+        this batch did not read moved."""
+        old, new = self.matrix, current.matrix
+        lengths = new.indptr[rows + 1] - new.indptr[rows]
+        same = read & (old.indptr[old_rows + 1] - old.indptr[old_rows] == lengths)
+        check = np.flatnonzero(same)
+        if check.size:
+            new_entries, counts = _row_entries(new.indptr, rows[check])
+            old_entries, _ = _row_entries(old.indptr, old_rows[check])
+            codes = old.indices[old_entries]
+            if self.codebook is not current.codebook:
+                # a rebuilt vocabulary (compaction): match the codes by value
+                position = {
+                    value: code for code, value in enumerate(current.vocab.tolist())
+                }
+                codes = np.array(
+                    [position.get(value, -1) for value in self.vocab[codes].tolist()],
+                    dtype=np.int64,
+                )
+            differs = (new.indices[new_entries] != codes) | (
+                new.data[new_entries] != old.data[old_entries]
+            )
+            same[check] = ~np.logical_or.reduceat(differs, np.cumsum(counts) - counts)
+        return ~same
+
+    def kd_entries(
+        self, fact_rows: np.ndarray, owners: np.ndarray, anchor_rows: np.ndarray
+    ) -> np.ndarray:
+        """``KD(d_anchor, d_fact)`` of every (``fact_rows[owners[j]]``,
+        ``anchor_rows[j]``) pair of matrix rows: ``Σ_u p_anchor(u)·S(fact, u)``
+        with ``S(fact, u) = Σ_v p_fact(v)·K(u, v)`` — O(pairs × support),
+        never an anchors × facts matrix.  Each sum runs over one row's
+        entries in row order, so an entry's bits depend on its two rows alone.
+        """
         indptr, indices, data = self.matrix.indptr, self.matrix.indices, self.matrix.data
-        new_entries, new_lengths = _row_entries(
-            indptr, self.new_rows[[i for i, _ in requests]]
-        )
+        new_entries, new_lengths = _row_entries(indptr, fact_rows)
+        entries, lengths = _row_entries(indptr, anchor_rows)
+        # one kernel matrix between the codes the anchors use and the codes
+        # the facts use
         new_codes, new_columns = np.unique(indices[new_entries], return_inverse=True)
-        entries, lengths = _row_entries(
-            indptr, self.anchor_rows[np.concatenate([picked for _, picked in requests])]
+        codes, columns = np.unique(indices[entries], return_inverse=True)
+        kernel = self.target.kernel.cross_matrix(self.vocab[codes], self.vocab[new_codes])
+        # S(fact, u) of each (fact, anchor code) pair that occurs, summed
+        # over the fact's row
+        pairs, pair_of_entry = np.unique(
+            np.repeat(owners, lengths) * codes.size + columns, return_inverse=True
         )
-        anchor_codes, anchor_columns = np.unique(indices[entries], return_inverse=True)
-        kernel = self.target.kernel.cross_matrix(
-            self.vocab[anchor_codes], self.vocab[new_codes]
+        pair_facts, pair_codes = np.divmod(pairs, codes.size)
+        fact_entries, spans = _row_entries(
+            np.concatenate(([0], np.cumsum(new_lengths))), pair_facts
         )
-        p_new = sparse.csr_matrix(
-            (data[new_entries], new_columns, np.concatenate(([0], np.cumsum(new_lengths)))),
-            shape=(len(requests), new_codes.size),
+        similarity = np.add.reduceat(
+            data[new_entries[fact_entries]]
+            * kernel[np.repeat(pair_codes, spans), new_columns[fact_entries]],
+            np.cumsum(spans) - spans,
         )
-        similarity = p_new @ kernel.T
-        owners = np.repeat(np.repeat(np.arange(len(requests)), counts), lengths)
-        terms = data[entries] * similarity[owners, anchor_columns]
-        # every picked anchor reaches the target: no segment is empty
-        values = np.add.reduceat(terms, np.cumsum(lengths) - lengths)
-        bounds = np.cumsum(counts).tolist()
-        return [values[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
+        # every row reaches the target: no segment is empty
+        return np.add.reduceat(
+            data[entries] * similarity[pair_of_entry], np.cumsum(lengths) - lengths
+        )
 
 
 class ForwardDynamicExtender:
@@ -142,31 +236,38 @@ class ForwardDynamicExtender:
         self.model = model
         self.db = db
         self.recompute_old_paths = recompute_old_paths
-        self.rng = ensure_rng(rng)
+        #: keys every anchor pick (see :func:`anchor_picks`); assign
+        #: ``anchor_key(seed)`` to re-key
+        self.key = anchor_key(rng)
         if engine is not None and engine.db is not db:
             raise ValueError("engine is compiled from a different database")
         self._engine = engine
-        # target index -> (attribute struct signature, fact_id -> distribution
-        # or None): the serial path's recomputed old-fact distributions, keyed
-        # structurally so pure insertions — which only append attribute-matrix
-        # rows — keep them cached
+        # target index -> (engine version, fact_id -> distribution or None):
+        # the serial path's recomputed old-fact distributions
         self._old_cache: dict[
-            int, tuple[tuple, dict[int, AttributeDistribution | None]]
+            int, tuple[int, dict[int, AttributeDistribution | None]]
         ] = {}
-        # memo of the last embedded sequence: the recompute policy replays the
-        # whole arrival stream under a freshly reseeded RNG every batch, so a
-        # fact at an unchanged position receives the exact same candidate
-        # draws; its picks, per-target equation blocks and solved vector are
-        # reused without consuming randomness (see :meth:`extend_batch`)
-        self._sequence_cache: dict[str, Any] | None = None
         # target index -> training-time distributions (static, cached once)
         self._trained_cache: dict[int, dict[int, AttributeDistribution | None]] = {}
+        # the last extend_batch's per-target contexts, and per fact id
+        # (targets reached, pseudo-inverse of its system)
+        self._contexts: dict[int, _TargetContext] = {}
+        self._operators: dict[int, tuple[int, np.ndarray]] = {}
+        self._projections: np.ndarray | None = None
 
     @property
     def engine(self) -> WalkEngine:
         if self._engine is None:
             self._engine = WalkEngine(self.db)
         return self._engine
+
+    @property
+    def projections(self) -> np.ndarray:
+        """``[t, row] = φ(row)·ψ(t)ᵀ``: every trained fact's equation row per
+        walk target, computed once so its bits never depend on a batch."""
+        if self._projections is None:
+            self._projections = self.model.phi @ self.model.psi.transpose(0, 2, 1)
+        return self._projections
 
     # ----------------------------------------------------------------- API
 
@@ -240,9 +341,8 @@ class ForwardDynamicExtender:
                 self._trained_cache[target.index] = cached
             return cached
         engine = self.engine
-        struct = engine.attribute_struct_signature(target.scheme)
         cached = self._old_cache.get(target.index)
-        if cached is not None and cached[0] == struct:
+        if cached is not None and cached[0] == engine.version:
             return cached[1]
         matrix, vocab = engine.attribute_matrix(target.scheme, target.attribute)
         compiled_rel = engine.compiled.relations[self.model.relation]
@@ -263,7 +363,7 @@ class ForwardDynamicExtender:
                     tuple(vocab[indices[lo:hi]]),
                     data[lo:hi].copy(),
                 )
-        self._old_cache[target.index] = (struct, result)
+        self._old_cache[target.index] = (engine.version, result)
         return result
 
     def embed_fact(self, fact: Fact) -> np.ndarray:
@@ -274,7 +374,7 @@ class ForwardDynamicExtender:
             engine.refresh()
         rows: list[np.ndarray] = []
         rhs: list[np.ndarray] = []
-        n_per_target = self.model.config.n_new_samples
+        fact_ids = self.model.fact_ids
         targets = self.model.targets
         new_dists = engine.attribute_distributions(
             fact, [(target.scheme, target.attribute) for target in targets]
@@ -287,22 +387,32 @@ class ForwardDynamicExtender:
             # recompute setting their distribution is already None; the
             # one-by-one setting caches training-time distributions, so the
             # existence check is what drops them there
-            candidates = [
-                fid
-                for fid in self.model.fact_ids
-                if old_dists[fid] is not None
-                and fid in self.db._facts_by_id  # noqa: SLF001 - cheap membership
-            ]
-            if not candidates:
-                continue
-            chosen = self._choose_candidates(candidates, n_per_target)
-            kd = _expected_kernels(
-                target.kernel, [old_dists[fid] for fid in chosen], new_dist
+            candidates = np.array(
+                [
+                    row
+                    for row, fid in enumerate(fact_ids)
+                    if old_dists[fid] is not None
+                    and fid in self.db._facts_by_id  # noqa: SLF001 - cheap membership
+                ],
+                dtype=np.intp,
             )
-            chosen_rows = np.array([self.model.fact_row[fid] for fid in chosen])
-            matrix = self.model.psi[target.index]
-            rows.append(self.model.phi[chosen_rows] @ matrix.T)
-            rhs.append(kd)
+            if not candidates.size:
+                continue
+            picked = candidates[
+                anchor_picks(
+                    self.key,
+                    [fact.fact_id],
+                    target.index,
+                    np.asarray(fact_ids)[candidates],
+                    self.model.config.n_new_samples,
+                )[0]
+            ]
+            rhs.append(
+                _expected_kernels(
+                    target.kernel, [old_dists[fact_ids[row]] for row in picked], new_dist
+                )
+            )
+            rows.append(self.projections[target.index][picked])
         if not rows:
             # A fact with no completable walk to any kernelized attribute gives
             # an empty system; fall back to the centroid of the trained facts
@@ -314,29 +424,32 @@ class ForwardDynamicExtender:
         """Embed many new facts through one fused batched pipeline.
 
         The all-at-once setting only (``recompute_old_paths``).  Semantically
-        identical to calling :meth:`embed_fact` on every fact in order — the
-        RNG is consumed in the same fact-major, target-minor order, so a
-        fixed seed produces the same candidate draws — but each walk target's
-        old and new distributions are rows of one attribute matrix, and every
-        right-hand side of a target is computed in one pass with one kernel
-        evaluation (see :meth:`_TargetContext.rhs_blocks`).  No per-fact
-        engine query, distribution object or BFS is made.  Returns
+        identical to calling :meth:`embed_fact` on every fact — both take each
+        fact's anchors from :func:`anchor_picks` under :attr:`key` — but each
+        walk target's old and new distributions are rows of one attribute
+        matrix and its right-hand sides are computed in one pass with one
+        kernel evaluation (see :meth:`_TargetContext.kd_entries`).  No
+        per-fact engine query, distribution object or BFS is made.  Returns
         ``fact_id -> φ(f_new)``; the model is not modified.
 
-        Re-embedding the same arrival prefix (the recompute policy replays the
-        whole stream every batch under a per-pass reseeded RNG) is memoised
-        per fact *and* per target: while a fact sits at the same position of
-        the sequence and every target's candidate count is unchanged, its
-        candidate draws are identical by determinism, so the recorded picks
-        and equation blocks are reused without touching the RNG at all.  A
-        structural change in one walk target (a deletion, an update, or an
-        insert that renormalises a backward step) recomputes only that
-        target's right-hand sides and re-solves only the affected facts;
-        everything else is returned verbatim.
+        Only what moved since the previous call is re-derived.  Per walk
+        target the rows the last batch read are compared bit for bit, and a
+        right-hand-side entry ``KD(d_anchor, d_fact)`` is recomputed only when
+        the fact's row moved, the anchor's row moved, or the anchor is newly
+        picked; when the target's matrix only gained rows, the facts the last
+        batch recorded keep their picks and entries without a diff.  Per
+        fact, the :func:`~repro.utils.linalg.pseudo_inverse` of its system
+        (rows of the frozen :attr:`projections`) is kept while its picks are
+        unchanged and applied to its stacked right-hand sides.  Equal inputs
+        give equal bits, so the reuse is exact: a batch that moves nothing
+        computes no entry, factors no system and returns the previous
+        vectors bit for bit.
 
         The three stages are instrumented as ``service.embed.prepare`` /
         ``service.embed.assemble`` / ``service.embed.solve`` when the
-        engine's telemetry bundle is enabled.
+        engine's telemetry bundle is enabled, with the counters
+        ``core.extend.rhs.{computed,reused}`` and
+        ``core.extend.systems.{factored,reused}``.
         """
         if not self.recompute_old_paths:
             raise ValueError(
@@ -354,195 +467,206 @@ class ForwardDynamicExtender:
             # insertions the caller did not pass to notify_inserted; catch up
             engine.refresh()
         telemetry = engine.telemetry
-        n_per_target = self.model.config.n_new_samples
-        start_state = self.rng.bit_generator.state
-        memo = self._sequence_cache
-        cached_facts = (
-            memo["facts"]
-            if memo is not None and memo["start_state"] == start_state
-            else []
-        )
+        metrics = telemetry.metrics
+        fact_ids = np.fromiter((fact.fact_id for fact in facts), np.int64, len(facts))
+        trained_ids = np.asarray(self.model.fact_ids, dtype=np.int64)
         with telemetry.stage("service.embed.prepare"):
-            contexts = {
-                context.target.index: context
-                for context in self._batch_contexts(facts)
-                if context is not None
-            }
-            structs = {
-                t_index: engine.attribute_struct_signature(context.target.scheme)
-                for t_index, context in contexts.items()
-            }
+            row_of = compiled.relations[self.model.relation].row_of
+            new_rows = np.fromiter(
+                (row_of[fact.fact_id] for fact in facts), dtype=np.intp, count=len(facts)
+            )
+            # compiled row of every trained fact (φ row order); -1 once deleted
+            trained_rows = np.fromiter(
+                (row_of.get(fact_id, -1) for fact_id in self.model.fact_ids),
+                dtype=np.intp,
+                count=trained_ids.size,
+            )
+            contexts = self._batch_contexts(new_rows, trained_rows)
         with telemetry.stage("service.embed.assemble"):
-            centroid = self.model.phi.mean(axis=0)
-            records: list[dict[str, Any]] = []
-            vectors_list: list[np.ndarray | None] = [None] * len(facts)
-            # target index -> (fact index, picked anchors) whose right-hand
-            # side phase 2 gathers
-            requests: dict[int, list[tuple[int, np.ndarray]]] = {}
-            to_solve: list[int] = []
-            # phase 1 — draw or reuse every fact's picks, fact-major and
-            # target-minor like embed_fact.  A cached record stays valid while
-            # the RNG start state, the fact's position, and the draw signature
-            # chain before it are unchanged — then every recorded pick equals
-            # what a live pass would draw
-            prefix_ok = bool(cached_facts)
-            for i, fact in enumerate(facts):
-                contribs = [
-                    context for context in contexts.values() if context.reaches[i]
-                ]
-                sig = tuple(
-                    (context.target.index, context.n_candidates)
-                    for context in contribs
+            # per target: (target index, batch positions, anchor φ rows, rhs)
+            blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+            reached = np.zeros(len(facts), dtype=np.intp)
+            stale = np.zeros(len(facts), dtype=bool)
+            computed = 0
+            for context in contexts:
+                t_index, positions = context.target.index, context.positions
+                anchors, rhs, repicked, n_computed = self._assemble(
+                    context,
+                    self._contexts.get(t_index),
+                    fact_ids[positions],
+                    new_rows[positions],
+                    trained_ids,
+                    trained_rows,
                 )
-                record = (
-                    cached_facts[i]
-                    if prefix_ok and i < len(cached_facts)
-                    else None
-                )
-                reuse = (
-                    record is not None
-                    and record["fact_id"] == fact.fact_id
-                    and record["sig"] == sig
-                )
-                if not reuse and prefix_ok:
-                    prefix_ok = False
-                    if records:
-                        # leave the reused region: position the generator
-                        # exactly after the last reused fact's draws
-                        self.rng.bit_generator.state = records[-1]["after_state"]
-                blocks: dict[int, tuple] = {}
-                stale = False
-                for context in contribs:
-                    t_index = context.target.index
-                    if reuse:
-                        cached_block = record["blocks"][t_index]
-                        if cached_block[0] == structs[t_index]:
-                            blocks[t_index] = cached_block
-                            continue
-                        # the draws are still the recorded ones; only the
-                        # right-hand side moved with the structure
-                        picked = cached_block[1]
-                    else:
-                        picked = self._choose_indices(
-                            context.n_candidates, n_per_target
-                        )
-                    blocks[t_index] = (structs[t_index], picked, None)
-                    requests.setdefault(t_index, []).append((i, picked))
-                    stale = True
-                if stale:
-                    to_solve.append(i)
-                elif reuse:
-                    vectors_list[i] = record["vector"]
-                else:
-                    # no completable walk to any kernelized attribute: fall
-                    # back to the trained centroid, exactly like embed_fact
-                    vectors_list[i] = centroid
-                records.append(
-                    {
-                        "fact_id": fact.fact_id,
-                        "sig": sig,
-                        "blocks": blocks,
-                        "after_state": (
-                            record["after_state"]
-                            if reuse
-                            else self.rng.bit_generator.state
-                        ),
-                        "vector": vectors_list[i],
-                    }
-                )
-            # phase 2 — every pending right-hand side, one gather per target
-            for t_index, pending in requests.items():
-                rhs_blocks = contexts[t_index].rhs_blocks(pending)
-                for (i, picked), rhs in zip(pending, rhs_blocks):
-                    records[i]["blocks"][t_index] = (structs[t_index], picked, rhs)
-            systems = [
-                (i, *self._assemble_system(contexts, records[i]["blocks"]))
-                for i in to_solve
-            ]
+                computed += n_computed
+                stale[positions] |= repicked
+                reached[positions] += 1
+                blocks.append((t_index, positions, anchors, rhs))
+            metrics.counter("core.extend.rhs.computed").inc(computed)
+            metrics.counter("core.extend.rhs.reused").inc(
+                sum(block[2].size for block in blocks) - computed
+            )
         with telemetry.stage("service.embed.solve"):
-            for i, matrix, rhs in systems:
-                vectors_list[i] = solve_least_squares(matrix, rhs)
-            for i, record in enumerate(records):
-                record["vector"] = vectors_list[i]
-        if records:
-            # a fully reused pass never touched the generator; leave it where
-            # a live pass would have, for callers that keep drawing
-            self.rng.bit_generator.state = records[-1]["after_state"]
-        self._sequence_cache = {"start_state": start_state, "facts": records}
-        return {
-            fact.fact_id: vector for fact, vector in zip(facts, vectors_list)
-        }
+            previous = self._operators
+            operators: dict[int, tuple[int, np.ndarray]] = {}
+            factor = np.zeros(len(facts), dtype=bool)
+            for i, fact_id in enumerate(fact_ids.tolist()):
+                cached = previous.get(fact_id)
+                if not reached[i]:
+                    continue
+                if stale[i] or cached is None or cached[0] != reached[i]:
+                    factor[i] = True
+                else:
+                    operators[fact_id] = cached
+            n_trained = trained_ids.size
+            systems = _by_fact(
+                [
+                    (positions, t_index * n_trained + anchors)
+                    for t_index, positions, anchors, _ in blocks
+                ],
+                factor,
+            )
+            flat = self.projections.reshape(-1, self.model.dimension)
+            for i, system in zip(np.flatnonzero(factor), systems):
+                operators[int(fact_ids[i])] = (int(reached[i]), pseudo_inverse(flat[system]))
+            metrics.counter("core.extend.systems.factored").inc(int(factor.sum()))
+            metrics.counter("core.extend.systems.reused").inc(len(operators) - int(factor.sum()))
+            # a fact with no completable walk to any kernelized attribute
+            # falls back to the trained centroid, exactly like embed_fact
+            solutions = np.tile(self.model.phi.mean(axis=0), (len(facts), 1))
+            solved = reached > 0
+            stacked = _by_fact([(positions, rhs) for _, positions, _, rhs in blocks], solved)
+            for i, rhs in zip(np.flatnonzero(solved), stacked):
+                solutions[i] = operators[int(fact_ids[i])][1] @ rhs
+        self._contexts = {context.target.index: context for context in contexts}
+        self._operators = operators
+        return dict(zip(fact_ids.tolist(), solutions))
 
-    @staticmethod
-    def _assemble_system(
-        contexts: dict[int, _TargetContext], blocks: dict[int, tuple]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stack one fact's per-target equation blocks into one system."""
-        rows = []
-        rhs = []
-        for t_index, (_, picked, rhs_block) in blocks.items():
-            rows.append(contexts[t_index].proj[picked])
-            rhs.append(rhs_block)
-        return np.vstack(rows), np.concatenate(rhs)
+    def _assemble(
+        self,
+        context: _TargetContext,
+        previous: _TargetContext | None,
+        ids: np.ndarray,
+        rows: np.ndarray,
+        trained_ids: np.ndarray,
+        trained_rows: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """One target's anchor φ rows and right-hand sides for the facts
+        ``ids`` (matrix ``rows``), with whether their picks changed and how
+        many entries were computed; records the batch on ``context``.
 
-    def _batch_contexts(self, facts: Sequence[Fact]) -> list["_TargetContext | None"]:
-        """One :class:`_TargetContext` per walk target (None when inert).
+        An entry of ``previous`` is reused unless the fact's row moved, the
+        anchor's row moved or the anchor is newly picked.  When ``previous``
+        :meth:`~_TargetContext.carries_to` ``context``, its facts at unchanged
+        rows keep their picks and entries and only the others are drawn.
+        """
+        n_trained = trained_ids.size
+        candidates = context.candidates
+        count = self.model.config.n_new_samples
+        context.key = self.key
+        # facts whose picks are drawn and whose entries are diffed; the others
+        # carry their picks and entries over from ``previous`` unchanged
+        fresh = np.ones(ids.size, dtype=bool)
+        if previous is not None:
+            pos = np.minimum(np.searchsorted(previous.fact_ids, ids), previous.fact_ids.size - 1)
+            recorded = previous.fact_ids[pos] == ids
+            if previous.carries_to(context):
+                fresh = ~recorded
+        anchors = np.empty((ids.size, min(count, candidates.size)), dtype=np.intp)
+        anchors[fresh] = candidates[
+            anchor_picks(
+                self.key, ids[fresh], context.target.index, trained_ids[candidates], count
+            )
+        ]
+        rhs = np.empty(anchors.shape)
+        todo = np.repeat(fresh[:, None], anchors.shape[1], axis=1)
+        repicked = fresh.copy()
+        if not fresh.all():
+            anchors[~fresh] = previous.anchors[pos[~fresh]]
+            rhs[~fresh] = previous.rhs[pos[~fresh]]
+        picked = np.flatnonzero(np.bincount(anchors.ravel(), minlength=n_trained))
+        if previous is not None and fresh.all():
+            if previous.anchors.shape[1] == anchors.shape[1]:
+                repicked = ~recorded | (previous.anchors[pos] != anchors).any(axis=1)
+            slot = np.minimum(np.searchsorted(previous.picked, picked), previous.picked.size - 1)
+            moved = previous.moved(
+                np.concatenate((recorded, previous.picked[slot] == picked)),
+                np.concatenate((previous.fact_rows[pos], previous.picked_rows[slot])),
+                np.concatenate((rows, trained_rows[picked])),
+                context,
+            )
+            anchor_moved = np.zeros(n_trained, dtype=bool)
+            anchor_moved[picked] = moved[ids.size :]
+            # (recorded fact, anchor) pairs, ascending by construction
+            pairs = (
+                np.arange(previous.fact_ids.size)[:, None] * n_trained + previous.anchors
+            ).ravel()
+            wanted = pos[:, None] * n_trained + anchors
+            slots = np.minimum(np.searchsorted(pairs, wanted), pairs.size - 1)
+            todo = (
+                ~recorded[:, None]
+                | (pairs[slots] != wanted)
+                | moved[: ids.size, None]
+                | anchor_moved[anchors]
+            )
+            rhs[~todo] = previous.rhs.ravel()[slots[~todo]]
+        if todo.any():
+            pending = np.flatnonzero(todo.any(axis=1))
+            rhs[todo] = context.kd_entries(
+                rows[pending],
+                np.repeat(np.arange(pending.size), todo[pending].sum(axis=1)),
+                trained_rows[anchors[todo]],
+            )
+        order = np.argsort(ids)
+        context.fact_ids, context.fact_rows = ids[order], rows[order]
+        context.anchors, context.rhs = anchors[order], rhs[order]
+        context.picked, context.picked_rows = picked, trained_rows[picked]
+        return anchors, rhs, repicked, int(todo.sum())
+
+    def _batch_contexts(
+        self, new_rows: np.ndarray, trained_rows: np.ndarray
+    ) -> list[_TargetContext]:
+        """One :class:`_TargetContext` per walk target that is not inert.
 
         A target is inert when no fact of the batch reaches it or no trained
         fact survives as its anchor: :meth:`embed_fact` would skip it for
-        every fact without drawing.
+        every fact.
         """
-        engine = self.engine
-        row_of = engine.compiled.relations[self.model.relation].row_of
-        new_rows = np.fromiter(
-            (row_of[fact.fact_id] for fact in facts), dtype=np.intp, count=len(facts)
-        )
-        # compiled row of every trained fact (φ row order); -1 once deleted
-        trained_rows = np.fromiter(
-            (row_of.get(fact_id, -1) for fact_id in self.model.fact_ids),
-            dtype=np.intp,
-            count=len(self.model.fact_ids),
-        )
         alive = np.flatnonzero(trained_rows >= 0)
-        contexts: list[_TargetContext | None] = []
+        relations = self.engine.compiled.relations
+        contexts: list[_TargetContext] = []
         for target in self.model.targets:
-            matrix, vocab = engine.attribute_matrix(target.scheme, target.attribute)
+            matrix, vocab = self.engine.attribute_matrix(target.scheme, target.attribute)
+            codebook = relations[target.scheme.end_relation].columns[target.attribute].vocab
             indptr = matrix.indptr
             candidates = alive[
                 indptr[trained_rows[alive] + 1] > indptr[trained_rows[alive]]
             ]
-            reaches = indptr[new_rows + 1] > indptr[new_rows]
-            if candidates.size == 0 or not reaches.any():
-                contexts.append(None)
-                continue
-            contexts.append(
-                _TargetContext(
-                    target,
-                    matrix,
-                    vocab,
-                    trained_rows[candidates],
-                    self.model.phi[candidates] @ self.model.psi[target.index].T,
-                    new_rows,
-                    reaches,
+            positions = np.flatnonzero(indptr[new_rows + 1] > indptr[new_rows])
+            if candidates.size and positions.size:
+                contexts.append(
+                    _TargetContext(target, matrix, vocab, codebook, candidates, positions)
                 )
-            )
         return contexts
 
-    def _choose_indices(self, n_candidates: int, count: int) -> np.ndarray:
-        """Positions of the sampled anchors within the candidate list.
 
-        Consumes the RNG exactly as :meth:`_choose_candidates` (no draw when
-        every candidate is taken), so the serial and batched paths stay in
-        lockstep on a shared seed.
-        """
-        if n_candidates <= count:
-            return np.arange(n_candidates)
-        return self.rng.choice(n_candidates, size=count, replace=False)
-
-    def _choose_candidates(self, candidates: Sequence[int], count: int) -> list[int]:
-        if len(candidates) <= count:
-            return list(candidates)
-        return [candidates[int(i)] for i in self._choose_indices(len(candidates), count)]
+def _by_fact(
+    blocks: list[tuple[np.ndarray, np.ndarray]], wanted: np.ndarray
+) -> list[np.ndarray]:
+    """Per ``wanted`` batch position, in position order, the rows of every
+    (positions, values) block that belong to it, block after block: the
+    order of a fact's equations in :meth:`ForwardDynamicExtender.embed_fact`."""
+    if not wanted.any():
+        return []
+    owners, values = [], []
+    for positions, block in blocks:
+        keep = wanted[positions]
+        owners.append(np.repeat(positions[keep], block.shape[1]))
+        values.append(block[keep].ravel())
+    owners = np.concatenate(owners)
+    values = np.concatenate(values)[np.argsort(owners, kind="stable")]
+    counts = np.bincount(owners, minlength=wanted.size)[wanted]
+    return np.split(values, np.cumsum(counts)[:-1])
 
 
 def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -184,29 +184,6 @@ class CompiledDatabase:
         self.fk_versions: dict[str, int] = {
             fk.name: 0 for fk in db.schema.foreign_keys
         }
-        # Structural counters: like the dirty counters above, but *pure
-        # appends leave them untouched*.  While a scheme's structural
-        # signature matches, its distributions only grew new rows at the
-        # bottom — old rows are bit-identical — so per-row state derived
-        # from them stays valid (see WalkEngine.attribute_struct_signature,
-        # which the dynamic extender's caches key on).  What bumps them:
-        #   rel_struct_versions[r]  — tombstone/update/compaction of r (an
-        #       append never changes existing rows of r);
-        #   fk_fwd_struct[fk]       — an existing forward pointer changed
-        #       (delete/update/compact, or a dangling reference repaired by
-        #       a late-arriving target);
-        #   fk_bwd_struct[fk]       — additionally, *any* append with a
-        #       resolved pointer: the backward matrix renormalises the
-        #       referenced row by its new in-degree.
-        self.rel_struct_versions: dict[str, int] = {
-            name: 0 for name in db.schema.relation_names
-        }
-        self.fk_fwd_struct: dict[str, int] = {
-            fk.name: 0 for fk in db.schema.foreign_keys
-        }
-        self.fk_bwd_struct: dict[str, int] = {
-            fk.name: 0 for fk in db.schema.foreign_keys
-        }
         self._fk_array_cache: dict[str, tuple[int, np.ndarray]] = {}
         self._synced_db_version: int | None = None
         self.set_telemetry(telemetry)
@@ -249,11 +226,8 @@ class CompiledDatabase:
             self.fk_target_rows[fk.name] = pointers
         for name in self.rel_versions:
             self.rel_versions[name] += 1
-            self.rel_struct_versions[name] += 1
         for name in self.fk_versions:
             self.fk_versions[name] += 1
-            self.fk_fwd_struct[name] += 1
-            self.fk_bwd_struct[name] += 1
         self._synced_db_version = getattr(self.db, "version", None)
         self._h_compile.observe(time.perf_counter() - started)
         self._c_compiles.inc()
@@ -265,16 +239,6 @@ class CompiledDatabase:
             self.fk_versions[fk.name] += 1
         for fk in self.schema.foreign_keys_to(rel_name):
             self.fk_versions[fk.name] += 1
-
-    def _touch_relation_struct(self, rel_name: str) -> None:
-        """Structurally dirty a relation: existing rows/pointers changed."""
-        self.rel_struct_versions[rel_name] += 1
-        for fk in self.schema.foreign_keys_from(rel_name):
-            self.fk_fwd_struct[fk.name] += 1
-            self.fk_bwd_struct[fk.name] += 1
-        for fk in self.schema.foreign_keys_to(rel_name):
-            self.fk_fwd_struct[fk.name] += 1
-            self.fk_bwd_struct[fk.name] += 1
 
     # --------------------------------------------------------------- lookup
 
@@ -322,21 +286,14 @@ class CompiledDatabase:
             else:
                 pointer = self.relations[fk.target].row_of.get(target.fact_id, -1)
             self.fk_target_rows[fk.name].append(pointer)
-            if pointer >= 0:
-                # the referenced row's in-degree grew: backward transition
-                # rows renormalise, so existing backward rows change
-                self.fk_bwd_struct[fk.name] += 1
         for fk in self.schema.foreign_keys_to(fact.relation):
             pointers = self.fk_target_rows[fk.name]
             source_rel = self.relations[fk.source]
             for source in self.db.referencing_facts(fact, fk):
                 source_row = source_rel.row_of.get(source.fact_id)
                 if source_row is not None and pointers[source_row] != row:
-                    # a previously dangling reference now resolves: an
-                    # *existing* row of the forward matrix changed
+                    # a previously dangling reference now resolves
                     pointers[source_row] = row
-                    self.fk_fwd_struct[fk.name] += 1
-                    self.fk_bwd_struct[fk.name] += 1
         self._touch_relation(fact.relation)
         self.version += 1
         return row
@@ -401,7 +358,6 @@ class CompiledDatabase:
                 for source_row in stale:
                     pointers[int(source_row)] = -1
             self._touch_relation(rel_name)
-            self._touch_relation_struct(rel_name)
         self.version += 1
         for rel_name in doomed:
             self._maybe_compact(self.relations[rel_name])
@@ -465,8 +421,6 @@ class CompiledDatabase:
             if pointers[row] != pointer:
                 pointers[row] = pointer
                 self.fk_versions[fk.name] += 1
-                self.fk_fwd_struct[fk.name] += 1
-                self.fk_bwd_struct[fk.name] += 1
                 fk_changed = True
         for fk in self.schema.foreign_keys_to(fact.relation):
             pointers = self.fk_target_rows[fk.name]
@@ -484,8 +438,6 @@ class CompiledDatabase:
                 continue
             fk_changed = True
             self.fk_versions[fk.name] += 1
-            self.fk_fwd_struct[fk.name] += 1
-            self.fk_bwd_struct[fk.name] += 1
             for stale in old_rows - new_rows:
                 # the source may reference a different fact now (key change)
                 source_id = source_rel.fact_ids[stale]
@@ -504,7 +456,6 @@ class CompiledDatabase:
                 pointers[fresh] = row
         if values_changed:
             self.rel_versions[fact.relation] += 1
-            self.rel_struct_versions[fact.relation] += 1
         if values_changed or fk_changed:
             self.version += 1
             return True

@@ -248,42 +248,6 @@ class WalkEngine:
             *(compiled.fk_versions[step.foreign_key.name] for step in scheme.steps),
         )
 
-    def _scheme_struct_signature(self, scheme: WalkScheme) -> tuple:
-        """The *structural* counters a scheme's distributions depend on.
-
-        Pure appends leave these untouched (see
-        :class:`~repro.engine.compiled.CompiledDatabase`), so while they
-        match, a recompute differs from an earlier result only by rows
-        appended at the bottom.  A forward step reads ``fk_fwd_struct`` (its
-        rows change only when an existing pointer changes); a backward step
-        reads ``fk_bwd_struct`` (additionally bumped by any resolved append,
-        which renormalises the referenced row's in-degree).
-        """
-        compiled = self.compiled
-        parts = [compiled.rel_struct_versions[scheme.start_relation]]
-        for step in scheme.steps:
-            name = step.foreign_key.name
-            parts.append(
-                compiled.fk_fwd_struct[name]
-                if step.direction is Direction.FORWARD
-                else compiled.fk_bwd_struct[name]
-            )
-        return tuple(parts)
-
-    def attribute_struct_signature(self, scheme: WalkScheme) -> tuple:
-        """Signature under which *existing* attribute rows are immutable.
-
-        While this value is unchanged, every row a consumer has already read
-        from :meth:`attribute_matrix` keeps its exact bits (new facts only
-        append rows and vocabulary entries).  Callers caching per-row derived
-        state — e.g. the dynamic extender's old-fact distributions — can key
-        on it instead of :attr:`version` to survive pure insertions.
-        """
-        return (
-            self._scheme_struct_signature(scheme),
-            self.compiled.rel_struct_versions[scheme.end_relation],
-        )
-
     def destination_matrix(self, scheme: WalkScheme) -> sparse.csr_matrix:
         """Row ``i`` is the destination distribution of start-relation row ``i``.
 

@@ -109,9 +109,6 @@ def load_compiled(db: Database, path: str | Path, verify: bool = True) -> Compil
     compiled.version = 0
     compiled.rel_versions = {name: 0 for name in db.schema.relation_names}
     compiled.fk_versions = {fk.name: 0 for fk in db.schema.foreign_keys}
-    compiled.rel_struct_versions = {name: 0 for name in db.schema.relation_names}
-    compiled.fk_fwd_struct = {fk.name: 0 for fk in db.schema.foreign_keys}
-    compiled.fk_bwd_struct = {fk.name: 0 for fk in db.schema.foreign_keys}
     compiled._fk_array_cache = {}
     # the snapshot does not record the database's mutation counter, so the
     # restored state has no known sync point; the first refresh scans

@@ -33,9 +33,8 @@ Two embedding policies mirror the paper's two dynamic settings:
   batched pass (trained embeddings stay frozen — stability by
   construction).  After the final batch the store is exactly what a
   one-shot :class:`~repro.core.forward_dynamic.ForwardDynamicExtender` run
-  on the final database produces: the per-pass RNG is re-seeded from the
-  service seed, so the replay is reproducible and verifiable to machine
-  precision.  Requires an embedder with ``supports_recompute`` (FoRWaRD).
+  on the final database produces: the service seed keys every anchor pick,
+  so the replay is reproducible and verifiable to machine precision.  Requires an embedder with ``supports_recompute`` (FoRWaRD).
 """
 
 from __future__ import annotations
@@ -133,9 +132,9 @@ class EmbeddingService:
     policy:
         ``"recompute"`` or ``"on_arrival"`` (see the module docstring).
     seed:
-        Seed of the extension RNG.  Under ``"recompute"`` each batched pass
-        re-seeds from this value, which makes the final store independent of
-        how arrivals were batched.
+        Seed of the extension.  Under ``"recompute"`` it keys every anchor
+        pick of each batched pass, which makes the final store independent
+        of how arrivals were batched.
     retain_versions:
         How many store versions to keep resolvable (older ones are pruned
         after each commit — each snapshot holds a full copy of the
@@ -481,9 +480,9 @@ class EmbeddingService:
                 if fact in embedded
             }
         # recompute: one batched pass over every *surviving* streamed fact
-        # against the current database; re-seeding makes the pass
-        # deterministic, so the head store always equals a one-shot extender
-        # run on the current database
+        # against the current database; the seed keys the anchor picks, so
+        # the head store always equals a one-shot extender run on the
+        # current database
         return dict(self._embedder.recompute_extension(self._arrived, self._seed))
 
     def sync(self, feed: ChangeFeed) -> list[ApplyOutcome]:

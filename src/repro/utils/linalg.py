@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def solve_least_squares(matrix: np.ndarray, rhs: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
+#: Singular values at or below ``RCOND`` times the largest are cut.
+RCOND = 1e-10
+
+
+def solve_least_squares(matrix: np.ndarray, rhs: np.ndarray, rcond: float = RCOND) -> np.ndarray:
     """Minimum-norm least-squares solution of ``matrix @ x = rhs``.
 
     The FoRWaRD dynamic extension (Equation (10) of the paper) solves the
@@ -23,6 +27,19 @@ def solve_least_squares(matrix: np.ndarray, rhs: np.ndarray, rcond: float = 1e-1
         )
     solution, _residuals, _rank, _svals = np.linalg.lstsq(matrix, rhs, rcond=rcond)
     return solution
+
+
+def pseudo_inverse(matrix: np.ndarray, rcond: float = RCOND) -> np.ndarray:
+    """The pseudo-inverse ``matrix⁺`` under :func:`solve_least_squares`'s cut.
+
+    ``pseudo_inverse(A) @ b`` is the minimum-norm least-squares solution of
+    ``A @ x = b`` to rounding (its error grows with cond(A), like lstsq's);
+    one factorisation serves every right-hand side.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError("matrix must be 2-dimensional")
+    return np.linalg.pinv(matrix, rcond=rcond)
 
 
 def normalize_rows(matrix: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:

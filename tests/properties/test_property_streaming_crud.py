@@ -3,19 +3,23 @@
 The convergence claim behind the ``recompute`` serving policy, attacked
 with randomized churn: *any* seeded sequence of mixed insert/delete/update
 batches, driven incrementally through :meth:`ForwardDynamicExtender.
-extend_batch` (sequence memo, struct-counter invalidation and all), must
-land on exactly what a fresh extender computes on the final database — and
-on what the serial :meth:`ForwardDynamicExtender.embed_fact` computes — to
-1e-12, including sequences whose delete batches straddle the engine's lazy
-compaction threshold.
+extend_batch` (anchor picks, right-hand sides and solve operators reused
+across batches), must land on exactly what a fresh extender computes on the
+final database — and on what the serial
+:meth:`ForwardDynamicExtender.embed_fact` computes — to 1e-12, including
+sequences whose delete batches straddle the engine's lazy compaction
+threshold, and with fewer anchors per target than candidates, so that the
+picks are sampled and re-derived as candidates come and go.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ForwardConfig
 from repro.core.forward import ForwardEmbedder
-from repro.core.forward_dynamic import ForwardDynamicExtender
+from repro.core.forward_dynamic import ForwardDynamicExtender, anchor_key
 from repro.datasets.movies import make_movies
 from repro.dynamic import partition_dataset
 from repro.engine import WalkEngine
@@ -36,40 +40,44 @@ MUTABLE = {
 }
 
 
-def _base():
+def _base(config):
     """Train once on the base partition; every example replays on a copy."""
     partition = partition_dataset(
         make_movies(), ratio_new=0.4, rng=ensure_rng(2)
     )
     model = ForwardEmbedder(
-        partition.db, partition.prediction_relation, CONFIG, rng=0
+        partition.db, partition.prediction_relation, config, rng=0
     ).fit()
     stream = [f for b in reversed(partition.new_batches) for f in b]
     return partition.db, model, stream, partition.prediction_relation
 
 
-BASE_DB, MODEL, STREAM, PREDICTION_RELATION = _base()
+BASE_DB, MODEL, STREAM, PREDICTION_RELATION = _base(CONFIG)
+#: two anchors per target: fewer than the candidates, so picks are sampled
+SAMPLED_MODEL = _base(dataclasses.replace(CONFIG, n_new_samples=2))[1]
 
 
-def _fresh_embeddings(db, alive, prediction):
+def _fresh_embeddings(db, alive, prediction, model=MODEL):
     """One-shot ground truth: a fresh extender on the final database."""
     fresh = ForwardDynamicExtender(
-        MODEL, db, recompute_old_paths=True, rng=SEED, engine=WalkEngine(db)
+        model, db, recompute_old_paths=True, rng=SEED, engine=WalkEngine(db)
     )
     fresh.notify_inserted(list(alive.values()))
-    fresh.rng = ensure_rng(SEED)
     return fresh.extend_batch(prediction)
 
 
-def _run_churn(data, compact_min_dead=None):
-    """Drive one randomized CRUD sequence; return (final, expected)."""
+def _run_churn(data, compact_min_dead=None, model=MODEL, kinds=("insert", "insert", "delete", "update")):
+    """Drive one randomized CRUD sequence; return (final, expected).
+
+    A ``"delete_trained"`` op deletes a trained fact: a candidate anchor.
+    """
     db = BASE_DB.copy()
     engine = WalkEngine(db)
     if compact_min_dead is not None:
         engine.compiled.COMPACT_MIN_DEAD = compact_min_dead
         engine.compiled.COMPACT_FRACTION = 0.0  # any tombstone compacts
     extender = ForwardDynamicExtender(
-        MODEL, db, recompute_old_paths=True, rng=SEED, engine=engine
+        model, db, recompute_old_paths=True, rng=SEED, engine=engine
     )
 
     pending = list(STREAM)
@@ -80,9 +88,16 @@ def _run_churn(data, compact_min_dead=None):
         inserted, deleted, updated = [], [], []
         for _ in range(data.draw(st.integers(1, 4), label="batch_size")):
             kind = data.draw(
-                st.sampled_from(["insert", "insert", "delete", "update"]),
-                label="op",
+                st.sampled_from(kinds), label="op"
             )
+            trained = [
+                f for f in db.facts(PREDICTION_RELATION) if f.fact_id in model.fact_row
+            ]
+            if kind == "delete_trained" and len(trained) > 1:
+                fact = data.draw(st.sampled_from(trained), label="trained victim")
+                db.delete(fact)
+                deleted.append(fact)
+                continue
             if kind == "insert" and pending:
                 fact = pending.pop(0)
                 db.reinsert(fact)
@@ -126,7 +141,7 @@ def _run_churn(data, compact_min_dead=None):
             if f.relation == PREDICTION_RELATION
         ]
         # recompute policy: re-embed every live streamed prediction fact
-        extender.rng = ensure_rng(SEED)
+        extender.key = anchor_key(SEED)
         final = extender.extend_batch(prediction)
 
     prediction = [
@@ -150,9 +165,28 @@ def test_random_crud_sequences_converge_to_fresh_recompile(data):
 def test_random_crud_sequences_match_serial_embed_fact(data):
     """The single oracle: after any CRUD history, the incrementally driven
     batch equals the serial per-fact path under the same seed."""
-    db, _engine, _alive, prediction, final = _run_churn(data)
+    _assert_matches_serial(*_run_churn(data), MODEL)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_sampled_picks_match_serial_embed_fact_and_fresh_recompile(data):
+    """Same oracles with two anchors per target, so candidates that come
+    and go re-derive some facts' picks and keep the others'."""
+    db, engine, alive, prediction, final = _run_churn(
+        data,
+        model=SAMPLED_MODEL,
+        kinds=("insert", "insert", "delete", "update", "delete_trained"),
+    )
+    _assert_matches_serial(db, engine, alive, prediction, final, SAMPLED_MODEL)
+    expected = _fresh_embeddings(db, alive, prediction, SAMPLED_MODEL)
+    for fact_id, vector in expected.items():
+        np.testing.assert_allclose(final[fact_id], vector, atol=1e-12, rtol=0)
+
+
+def _assert_matches_serial(db, _engine, _alive, prediction, final, model):
     serial = ForwardDynamicExtender(
-        MODEL, db, recompute_old_paths=True, rng=SEED, engine=WalkEngine(db)
+        model, db, recompute_old_paths=True, rng=SEED, engine=WalkEngine(db)
     )
     expected = {fact.fact_id: serial.embed_fact(fact) for fact in prediction}
     assert set(final) == set(expected)
@@ -196,7 +230,7 @@ def test_compaction_straddling_batch_is_deterministic():
     prediction = [
         f for f in alive.values() if f.relation == PREDICTION_RELATION
     ]
-    extender.rng = ensure_rng(SEED)
+    extender.key = anchor_key(SEED)
     extender.extend_batch(prediction)
 
     collaborations = list(db.facts("COLLABORATIONS"))
@@ -217,7 +251,7 @@ def test_compaction_straddling_batch_is_deterministic():
         prediction = [
             f for f in alive.values() if f.relation == PREDICTION_RELATION
         ]
-        extender.rng = ensure_rng(SEED)
+        extender.key = anchor_key(SEED)
         final = extender.extend_batch(prediction)
     # the first wave leaves tombstones (below the compaction fraction), the
     # second crosses it: one extend ran over tombstoned rows, the next over
