@@ -183,3 +183,11 @@ class Node2VecConfig(ConfigBase):
             raise ValueError("epochs must be positive")
         if self.p <= 0 or self.q <= 0:
             raise ValueError("p and q must be positive")
+        if self.batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+        if self.negatives_per_positive < 1:
+            raise ValueError("negatives_per_positive must be at least 1")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if self.dynamic_walks_per_node <= 0:
+            raise ValueError("dynamic_walks_per_node must be positive")

@@ -6,14 +6,12 @@ Node2Vec adaptation — are small closed-form expressions, so their gradients
 are derived analytically and applied with the optimizers in this package.
 """
 
-from repro.optim.optimizers import SGD, Adam, Momentum, Optimizer
+from repro.optim.optimizers import Adam, Optimizer
 from repro.optim.schedules import ConstantSchedule, ExponentialDecay, LinearDecay, Schedule
 from repro.optim.gradcheck import numerical_gradient
 
 __all__ = [
     "Optimizer",
-    "SGD",
-    "Momentum",
     "Adam",
     "Schedule",
     "ConstantSchedule",

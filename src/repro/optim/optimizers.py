@@ -36,52 +36,12 @@ class Optimizer(abc.ABC):
         ``rows`` provides row indices for ``name``, in which case the gradient
         has shape ``(len(rows[name]), *params[name].shape[1:])`` and only those
         rows are updated (sparse update).  ``rows[name]`` must not repeat a
-        row: a row's gradient is its one summed gradient, and the stateful
-        optimizers (momentum, Adam) gather and write back each row once.
-        Only plain SGD accumulates repeated rows.
+        row: a row's gradient is its one summed gradient, and a stateful
+        optimizer gathers and writes back each row once.
         """
 
     def reset(self) -> None:
         """Drop optimizer state (momenta, step counters)."""
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent."""
-
-    def update(self, params, grads, rows=None):
-        for name, grad in grads.items():
-            param = params[name]
-            if rows is not None and name in rows:
-                np.subtract.at(param, rows[name], self.learning_rate * grad)
-            else:
-                param -= self.learning_rate * grad
-
-
-class Momentum(Optimizer):
-    """SGD with classical momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.9):
-        super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = float(momentum)
-        self._velocity: dict[str, np.ndarray] = {}
-
-    def update(self, params, grads, rows=None):
-        for name, grad in grads.items():
-            param = params[name]
-            velocity = self._velocity.setdefault(name, np.zeros_like(param))
-            if rows is not None and name in rows:
-                idx = rows[name]
-                velocity[idx] = self.momentum * velocity[idx] + grad
-                np.subtract.at(param, idx, self.learning_rate * velocity[idx])
-            else:
-                velocity *= self.momentum
-                velocity += grad
-                param -= self.learning_rate * velocity
-
-    def reset(self) -> None:
-        self._velocity.clear()
 
 
 class Adam(Optimizer):

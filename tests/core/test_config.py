@@ -57,6 +57,11 @@ class TestNode2VecConfigDefaults:
             {"dynamic_epochs": 0},
             {"p": 0.0},
             {"q": 0.0},
+            {"batch_size": 0},
+            {"negatives_per_positive": 0},
+            {"negatives_per_positive": -1},
+            {"learning_rate": 0.0},
+            {"dynamic_walks_per_node": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
