@@ -33,6 +33,7 @@ from repro.core.base import TupleEmbedding
 from repro.core.forward import ForwardModel, WalkTarget
 from repro.db.database import Database, Fact
 from repro.engine import WalkEngine
+from repro.engine.engine import row_entries
 from repro.kernels.base import Kernel
 from repro.utils.linalg import pseudo_inverse, solve_least_squares
 from repro.utils.rng import ensure_rng
@@ -85,86 +86,29 @@ def anchor_picks(
 @dataclass(eq=False)
 class _TargetContext:
     """One walk target's share of an extension batch, kept as the record the
-    next batch diffs against.
+    next batch reuses.
 
     ``matrix``/``vocab``: the target's attribute matrix and vocabulary;
-    ``codebook``: the compiled column's vocabulary list, which only grows
-    (a code keeps its value) until the compiled database is rebuilt;
-    ``candidates``: φ rows of the trained facts alive and reaching it,
-    ascending; ``positions``: batch positions of the facts reaching it.
-    Assembly records the picks' ``key``; per fact, by sorted ``fact_ids``,
-    its matrix row (``fact_rows``), anchor φ rows (``anchors``, ascending)
-    and right-hand sides (``rhs``); and the anchors read (sorted φ rows
-    ``picked``, their ``picked_rows``).
+    ``moved``: the matrix rows that moved since the previous batch (a
+    boolean mask, None when every row may have), from
+    :meth:`WalkEngine.attribute_view`; ``candidates``: φ rows of the trained
+    facts alive and reaching the target, ascending; ``positions``: batch
+    positions of the facts reaching it.  Assembly records the picks'
+    ``key`` and, per fact, by sorted ``fact_ids``, its anchor φ rows
+    (``anchors``, ascending) and right-hand sides (``rhs``).  Records hold
+    fact ids and φ rows, never matrix rows, so they outlive a renumbering.
     """
 
     target: WalkTarget
     matrix: sparse.csr_matrix
     vocab: np.ndarray
-    codebook: list
+    moved: np.ndarray | None
     candidates: np.ndarray
     positions: np.ndarray
     key: int = 0
     fact_ids: np.ndarray | None = None
-    fact_rows: np.ndarray | None = None
     anchors: np.ndarray | None = None
     rhs: np.ndarray | None = None
-    picked: np.ndarray | None = None
-    picked_rows: np.ndarray | None = None
-
-    def carries_to(self, current: "_TargetContext") -> bool:
-        """Does every fact this batch recorded keep its picks and entries in
-        ``current``: same key and candidates, and this batch's matrix rows a
-        prefix of ``current``'s, bit for bit (only rows were appended)?
-
-        A fact or anchor read at another row now was deleted in between,
-        and a tombstoned row reads empty, so the prefix test fails for it.
-        """
-        old, new = self.matrix, current.matrix
-        rows, nnz = old.shape[0], old.nnz
-        return (
-            self.key == current.key
-            and self.codebook is current.codebook
-            and new.shape[0] >= rows
-            and np.array_equal(self.candidates, current.candidates)
-            and np.array_equal(new.indptr[: rows + 1], old.indptr)
-            and np.array_equal(new.indices[:nnz], old.indices)
-            and np.array_equal(new.data[:nnz], old.data)
-        )
-
-    def moved(
-        self,
-        read: np.ndarray,
-        old_rows: np.ndarray,
-        rows: np.ndarray,
-        current: "_TargetContext",
-    ) -> np.ndarray:
-        """Per row: does ``current.matrix``'s (non-empty) row ``rows[i]``
-        differ from row ``old_rows[i]`` this batch ``read``?  Bit for bit, by
-        value (codes are translated when the vocabulary was rebuilt); a row
-        this batch did not read moved."""
-        old, new = self.matrix, current.matrix
-        lengths = new.indptr[rows + 1] - new.indptr[rows]
-        same = read & (old.indptr[old_rows + 1] - old.indptr[old_rows] == lengths)
-        check = np.flatnonzero(same)
-        if check.size:
-            new_entries, counts = _row_entries(new.indptr, rows[check])
-            old_entries, _ = _row_entries(old.indptr, old_rows[check])
-            codes = old.indices[old_entries]
-            if self.codebook is not current.codebook:
-                # a rebuilt vocabulary (compaction): match the codes by value
-                position = {
-                    value: code for code, value in enumerate(current.vocab.tolist())
-                }
-                codes = np.array(
-                    [position.get(value, -1) for value in self.vocab[codes].tolist()],
-                    dtype=np.int64,
-                )
-            differs = (new.indices[new_entries] != codes) | (
-                new.data[new_entries] != old.data[old_entries]
-            )
-            same[check] = ~np.logical_or.reduceat(differs, np.cumsum(counts) - counts)
-        return ~same
 
     def kd_entries(
         self, fact_rows: np.ndarray, owners: np.ndarray, anchor_rows: np.ndarray
@@ -176,26 +120,30 @@ class _TargetContext:
         entries in row order, so an entry's bits depend on its two rows alone.
         """
         indptr, indices, data = self.matrix.indptr, self.matrix.indices, self.matrix.data
-        new_entries, new_lengths = _row_entries(indptr, fact_rows)
-        entries, lengths = _row_entries(indptr, anchor_rows)
-        # one kernel matrix between the codes the anchors use and the codes
-        # the facts use
-        new_codes, new_columns = np.unique(indices[new_entries], return_inverse=True)
-        codes, columns = np.unique(indices[entries], return_inverse=True)
-        kernel = self.target.kernel.cross_matrix(self.vocab[codes], self.vocab[new_codes])
-        # S(fact, u) of each (fact, anchor code) pair that occurs, summed
+        new_entries, new_lengths = row_entries(indptr, fact_rows)
+        entries, lengths = row_entries(indptr, anchor_rows)
+        # S(fact, u) of each (fact, anchor code u) pair that occurs, summed
         # over the fact's row
+        codes, columns = np.unique(indices[entries], return_inverse=True)
         pairs, pair_of_entry = np.unique(
             np.repeat(owners, lengths) * codes.size + columns, return_inverse=True
         )
         pair_facts, pair_codes = np.divmod(pairs, codes.size)
-        fact_entries, spans = _row_entries(
+        fact_entries, spans = row_entries(
             np.concatenate(([0], np.cumsum(new_lengths))), pair_facts
         )
+        # the kernel only at the (anchor code, fact code) pairs that occur,
+        # each evaluated once
+        fact_entries = new_entries[fact_entries]
+        used, kernel_of = np.unique(
+            codes[np.repeat(pair_codes, spans)] * self.vocab.size + indices[fact_entries],
+            return_inverse=True,
+        )
+        kernel = self.target.kernel.elementwise(
+            self.vocab[used // self.vocab.size], self.vocab[used % self.vocab.size]
+        )
         similarity = np.add.reduceat(
-            data[new_entries[fact_entries]]
-            * kernel[np.repeat(pair_codes, spans), new_columns[fact_entries]],
-            np.cumsum(spans) - spans,
+            data[fact_entries] * kernel[kernel_of], np.cumsum(spans) - spans
         )
         # every row reaches the target: no segment is empty
         return np.add.reduceat(
@@ -252,6 +200,7 @@ class ForwardDynamicExtender:
         # the last extend_batch's per-target contexts, and per fact id
         # (targets reached, pseudo-inverse of its system)
         self._contexts: dict[int, _TargetContext] = {}
+        self._position: int | None = None  # the journal position they read
         self._operators: dict[int, tuple[int, np.ndarray]] = {}
         self._projections: np.ndarray | None = None
 
@@ -481,7 +430,8 @@ class ForwardDynamicExtender:
                 dtype=np.intp,
                 count=trained_ids.size,
             )
-            contexts = self._batch_contexts(new_rows, trained_rows)
+            position = compiled.position
+            contexts = self._batch_contexts(new_rows, trained_rows, self._position)
         with telemetry.stage("service.embed.assemble"):
             # per target: (target index, batch positions, anchor φ rows, rhs)
             blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
@@ -539,6 +489,7 @@ class ForwardDynamicExtender:
             for i, rhs in zip(np.flatnonzero(solved), stacked):
                 solutions[i] = operators[int(fact_ids[i])][1] @ rhs
         self._contexts = {context.target.index: context for context in contexts}
+        self._position = position
         self._operators = operators
         return dict(zip(fact_ids.tolist(), solutions))
 
@@ -555,48 +506,37 @@ class ForwardDynamicExtender:
         ``ids`` (matrix ``rows``), with whether their picks changed and how
         many entries were computed; records the batch on ``context``.
 
-        An entry of ``previous`` is reused unless the fact's row moved, the
-        anchor's row moved or the anchor is newly picked.  When ``previous``
-        :meth:`~_TargetContext.carries_to` ``context``, its facts at unchanged
-        rows keep their picks and entries and only the others are drawn.
+        A fact ``previous`` recorded keeps its picks while the key and the
+        candidate set are unchanged, whatever rows moved: the picks are a
+        function of those alone.  An entry of ``previous`` is reused unless
+        the fact's row or the anchor's row is among ``context.moved``, or
+        the anchor is newly picked.
         """
         n_trained = trained_ids.size
         candidates = context.candidates
         count = self.model.config.n_new_samples
         context.key = self.key
-        # facts whose picks are drawn and whose entries are diffed; the others
-        # carry their picks and entries over from ``previous`` unchanged
-        fresh = np.ones(ids.size, dtype=bool)
+        anchors = np.empty((ids.size, min(count, candidates.size)), dtype=np.intp)
+        recorded = np.zeros(ids.size, dtype=bool)
+        keep = recorded
         if previous is not None:
             pos = np.minimum(np.searchsorted(previous.fact_ids, ids), previous.fact_ids.size - 1)
             recorded = previous.fact_ids[pos] == ids
-            if previous.carries_to(context):
-                fresh = ~recorded
-        anchors = np.empty((ids.size, min(count, candidates.size)), dtype=np.intp)
-        anchors[fresh] = candidates[
+            if previous.key == self.key and np.array_equal(previous.candidates, candidates):
+                keep = recorded
+                anchors[keep] = previous.anchors[pos[keep]]
+        draw = ~keep
+        anchors[draw] = candidates[
             anchor_picks(
-                self.key, ids[fresh], context.target.index, trained_ids[candidates], count
+                self.key, ids[draw], context.target.index, trained_ids[candidates], count
             )
         ]
+        repicked = draw
+        if previous is not None and previous.anchors.shape[1] == anchors.shape[1]:
+            repicked = draw & (~recorded | (previous.anchors[pos] != anchors).any(axis=1))
         rhs = np.empty(anchors.shape)
-        todo = np.repeat(fresh[:, None], anchors.shape[1], axis=1)
-        repicked = fresh.copy()
-        if not fresh.all():
-            anchors[~fresh] = previous.anchors[pos[~fresh]]
-            rhs[~fresh] = previous.rhs[pos[~fresh]]
-        picked = np.flatnonzero(np.bincount(anchors.ravel(), minlength=n_trained))
-        if previous is not None and fresh.all():
-            if previous.anchors.shape[1] == anchors.shape[1]:
-                repicked = ~recorded | (previous.anchors[pos] != anchors).any(axis=1)
-            slot = np.minimum(np.searchsorted(previous.picked, picked), previous.picked.size - 1)
-            moved = previous.moved(
-                np.concatenate((recorded, previous.picked[slot] == picked)),
-                np.concatenate((previous.fact_rows[pos], previous.picked_rows[slot])),
-                np.concatenate((rows, trained_rows[picked])),
-                context,
-            )
-            anchor_moved = np.zeros(n_trained, dtype=bool)
-            anchor_moved[picked] = moved[ids.size :]
+        todo = np.ones(anchors.shape, dtype=bool)
+        if recorded.any() and context.moved is not None:
             # (recorded fact, anchor) pairs, ascending by construction
             pairs = (
                 np.arange(previous.fact_ids.size)[:, None] * n_trained + previous.anchors
@@ -606,8 +546,8 @@ class ForwardDynamicExtender:
             todo = (
                 ~recorded[:, None]
                 | (pairs[slots] != wanted)
-                | moved[: ids.size, None]
-                | anchor_moved[anchors]
+                | context.moved[rows][:, None]
+                | context.moved[trained_rows[anchors]]
             )
             rhs[~todo] = previous.rhs.ravel()[slots[~todo]]
         if todo.any():
@@ -618,26 +558,25 @@ class ForwardDynamicExtender:
                 trained_rows[anchors[todo]],
             )
         order = np.argsort(ids)
-        context.fact_ids, context.fact_rows = ids[order], rows[order]
-        context.anchors, context.rhs = anchors[order], rhs[order]
-        context.picked, context.picked_rows = picked, trained_rows[picked]
+        context.fact_ids, context.anchors, context.rhs = ids[order], anchors[order], rhs[order]
         return anchors, rhs, repicked, int(todo.sum())
 
     def _batch_contexts(
-        self, new_rows: np.ndarray, trained_rows: np.ndarray
+        self, new_rows: np.ndarray, trained_rows: np.ndarray, since: int | None
     ) -> list[_TargetContext]:
-        """One :class:`_TargetContext` per walk target that is not inert.
+        """One :class:`_TargetContext` per walk target that is not inert,
+        with the rows moved since journal position ``since``.
 
         A target is inert when no fact of the batch reaches it or no trained
         fact survives as its anchor: :meth:`embed_fact` would skip it for
         every fact.
         """
         alive = np.flatnonzero(trained_rows >= 0)
-        relations = self.engine.compiled.relations
         contexts: list[_TargetContext] = []
         for target in self.model.targets:
-            matrix, vocab = self.engine.attribute_matrix(target.scheme, target.attribute)
-            codebook = relations[target.scheme.end_relation].columns[target.attribute].vocab
+            matrix, vocab, moved = self.engine.attribute_view(
+                target.scheme, target.attribute, since
+            )
             indptr = matrix.indptr
             candidates = alive[
                 indptr[trained_rows[alive] + 1] > indptr[trained_rows[alive]]
@@ -645,7 +584,7 @@ class ForwardDynamicExtender:
             positions = np.flatnonzero(indptr[new_rows + 1] > indptr[new_rows])
             if candidates.size and positions.size:
                 contexts.append(
-                    _TargetContext(target, matrix, vocab, codebook, candidates, positions)
+                    _TargetContext(target, matrix, vocab, moved, candidates, positions)
                 )
         return contexts
 
@@ -667,14 +606,6 @@ def _by_fact(
     values = np.concatenate(values)[np.argsort(owners, kind="stable")]
     counts = np.bincount(owners, minlength=wanted.size)[wanted]
     return np.split(values, np.cumsum(counts)[:-1])
-
-
-def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the given CSR rows' entries, row after row, and row lengths."""
-    starts = indptr[rows]
-    lengths = indptr[rows + 1] - starts
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum()), lengths
 
 
 def _expected_kernels(

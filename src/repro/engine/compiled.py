@@ -28,6 +28,13 @@ The compiled form supports the full CRUD cycle incrementally:
 * :meth:`CompiledDatabase.update_fact` re-encodes an updated fact's column
   values in place and re-resolves foreign-key pointers touching it.
 
+Every mutation also appends to a *journal* the rows it touched — rows
+appended or tombstoned, rows re-encoded (per attribute), and foreign-key
+source rows whose pointer moved, with their old and new target rows — each
+entry carrying fact ids next to row numbers, so that
+:meth:`CompiledDatabase.changes_since` can name, in the current numbering,
+every row touched since any journal position, across compactions too.
+
 :meth:`CompiledDatabase.refresh` syncs with the backing database by
 replaying its bounded changelog (``Database.changes_since``), so a refresh
 costs O(changes) — and O(1) when nothing changed — instead of a full
@@ -40,6 +47,7 @@ affected them.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 import numpy as np
@@ -87,6 +95,18 @@ class ValueColumn:
             return False
         self.codes[row] = code
         return True
+
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep the rows ``keep`` marks; the vocabulary is rebuilt in order of
+        first use by the kept rows, as a fresh compilation would build it."""
+        codes = self.codes_array()[keep]
+        used, first = np.unique(codes[codes >= 0], return_index=True)
+        order = used[np.argsort(first)]
+        remap = np.full(len(self.vocab) + 1, -1, dtype=np.int64)  # [-1] stays ⊥
+        remap[order] = np.arange(order.size)
+        self.codes = remap[codes].tolist()
+        self.vocab = [self.vocab[code] for code in order.tolist()]
+        self.code_of = {value: code for code, value in enumerate(self.vocab)}
 
     def codes_array(self) -> np.ndarray:
         return np.asarray(self.codes, dtype=np.int64)
@@ -149,11 +169,41 @@ class CompiledRelation:
         self.num_dead += 1
         return row
 
+    def compact(self) -> np.ndarray:
+        """Drop tombstoned rows, keeping the others in order; returns each old
+        row's new row (``-1`` for a dropped one)."""
+        keep = self.alive_array()
+        new_rows = np.where(keep, np.cumsum(keep) - 1, -1)
+        self.fact_ids = [fid for fid, alive in zip(self.fact_ids, self.alive) if alive]
+        self.row_of = {fid: row for row, fid in enumerate(self.fact_ids)}
+        self.alive = [True] * len(self.fact_ids)
+        self.num_dead = 0
+        for column in self.columns.values():
+            column.compact(keep)
+        return new_rows
+
     def alive_array(self) -> np.ndarray:
         return np.asarray(self.alive, dtype=bool)
 
     def fact_ids_array(self) -> np.ndarray:
         return np.asarray(self.fact_ids, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class RowDelta:
+    """The rows touched between a journal position and now, in current rows.
+
+    ``rows``: per relation, rows appended or tombstoned; ``codes``: per
+    ``(relation, attribute)``, rows re-encoded; ``sources``: per foreign
+    key, source rows whose pointer moved; ``targets``: per foreign key, the
+    old and new target rows of those pointers.  A row gone since (a fact
+    tombstoned before a compaction) is left out.
+    """
+
+    rows: dict[str, np.ndarray]
+    codes: dict[tuple[str, str], np.ndarray]
+    sources: dict[str, np.ndarray]
+    targets: dict[str, np.ndarray]
 
 
 class CompiledDatabase:
@@ -171,6 +221,9 @@ class CompiledDatabase:
     COMPACT_FRACTION = 0.5
     #: Minimum tombstones before compaction is considered at all.
     COMPACT_MIN_DEAD = 64
+    #: Journal entries kept; beyond it the oldest half is dropped, and a
+    #: reader whose position fell out of the window learns nothing.
+    JOURNAL_LIMIT = 1 << 14
 
     def __init__(self, db: Database, *, telemetry: Telemetry | None = None):
         self.db = db
@@ -186,8 +239,19 @@ class CompiledDatabase:
         }
         self._fk_array_cache: dict[str, tuple[int, np.ndarray]] = {}
         self._synced_db_version: int | None = None
+        self._start_journal()
         self.set_telemetry(telemetry)
         self._compile()
+
+    def _start_journal(self) -> None:
+        """An empty journal at position 0 and row numbering 0."""
+        self._fks = {fk.name: fk for fk in self.schema.foreign_keys}
+        #: bumped whenever rows are renumbered (compaction, recompilation)
+        self.generation = 0
+        self._journal: list[tuple] = []
+        self._journal_base = 0
+        #: the journal position the current row numbering starts at
+        self.generation_start = 0
 
     def set_telemetry(self, telemetry: Telemetry | None) -> None:
         """Attach (or detach, with None) a telemetry bundle.
@@ -208,6 +272,11 @@ class CompiledDatabase:
 
     def _compile(self) -> None:
         started = time.perf_counter()
+        # what changed is unknown: no position before this one is readable
+        self._journal_base = self.position + 1
+        self._journal = []
+        self.generation += 1
+        self.generation_start = self._journal_base
         self.relations = {rel.name: CompiledRelation(rel) for rel in self.schema}
         for rel_name in self.schema.relation_names:
             compiled_rel = self.relations[rel_name]
@@ -231,6 +300,81 @@ class CompiledDatabase:
         self._synced_db_version = getattr(self.db, "version", None)
         self._h_compile.observe(time.perf_counter() - started)
         self._c_compiles.inc()
+
+    # -------------------------------------------------------------- journal
+
+    @property
+    def position(self) -> int:
+        """The journal position: the number of entries ever written."""
+        return self._journal_base + len(self._journal)
+
+    def _log(self, entry: tuple) -> None:
+        self._journal.append(entry)
+        if len(self._journal) > self.JOURNAL_LIMIT:
+            half = len(self._journal) // 2
+            del self._journal[:half]
+            self._journal_base += half
+
+    def _log_link(self, fk, source_row: int, old: int, new: int) -> None:
+        """Journal one foreign-key pointer move, by fact id and by row."""
+        if old == new:
+            return
+        source_ids = self.relations[fk.source].fact_ids
+        target_ids = self.relations[fk.target].fact_ids
+        self._log((
+            fk.name,
+            source_ids[source_row], source_row,
+            target_ids[old] if old >= 0 else -1, old,
+            target_ids[new] if new >= 0 else -1, new,
+        ))
+
+    def changes_since(self, position: int) -> RowDelta | None:
+        """Every row touched since journal ``position``, in current rows.
+
+        Entries written under the current numbering name their rows;
+        older ones are carried across compactions by fact id.  None when
+        ``position`` precedes the journal window or a recompilation.
+        """
+        if not self._journal_base <= position <= self.position:
+            return None
+        rows: dict[str, list[int]] = {}
+        codes: dict[tuple[str, str], list[int]] = {}
+        sources: dict[str, list[int]] = {}
+        targets: dict[str, list[int]] = {}
+        relations = self.relations
+        current_from = self.generation_start
+        at = position
+        for entry in self._journal[position - self._journal_base :]:
+            renumbered = at < current_from
+            at += 1
+            if len(entry) == 4:  # (relation, fact id, row, attributes or None)
+                rel_name, fact_id, row, attributes = entry
+                if renumbered:
+                    row = relations[rel_name].row_of.get(fact_id, -1)
+                if row < 0:
+                    continue
+                if attributes is None:
+                    rows.setdefault(rel_name, []).append(row)
+                else:
+                    for attribute in attributes:
+                        codes.setdefault((rel_name, attribute), []).append(row)
+            elif len(entry) == 7:  # (fk, source id, row, old id, row, new id, row)
+                fk_name, source_id, source, old_id, old, new_id, new = entry
+                if renumbered:
+                    fk = self._fks[fk_name]
+                    source = relations[fk.source].row_of.get(source_id, -1)
+                    target_rows = relations[fk.target].row_of
+                    old = target_rows.get(old_id, -1)
+                    new = target_rows.get(new_id, -1)
+                if source >= 0:
+                    sources.setdefault(fk_name, []).append(source)
+                moved = targets.setdefault(fk_name, [])
+                moved.extend(row for row in (old, new) if row >= 0)
+
+        def arrays(marks: dict) -> dict:
+            return {key: np.asarray(value, dtype=np.int64) for key, value in marks.items()}
+
+        return RowDelta(arrays(rows), arrays(codes), arrays(sources), arrays(targets))
 
     def _touch_relation(self, rel_name: str) -> None:
         """Dirty a relation's row-space and every foreign key touching it."""
@@ -279,6 +423,7 @@ class CompiledDatabase:
         if existing is not None:
             return existing
         row = relation.append(fact)
+        self._log((fact.relation, fact.fact_id, row, None))
         for fk in self.schema.foreign_keys_from(fact.relation):
             target = self.db.referenced_fact(fact, fk)
             if target is None:
@@ -286,6 +431,7 @@ class CompiledDatabase:
             else:
                 pointer = self.relations[fk.target].row_of.get(target.fact_id, -1)
             self.fk_target_rows[fk.name].append(pointer)
+            self._log_link(fk, row, -1, pointer)
         for fk in self.schema.foreign_keys_to(fact.relation):
             pointers = self.fk_target_rows[fk.name]
             source_rel = self.relations[fk.source]
@@ -293,6 +439,7 @@ class CompiledDatabase:
                 source_row = source_rel.row_of.get(source.fact_id)
                 if source_row is not None and pointers[source_row] != row:
                     # a previously dangling reference now resolves
+                    self._log_link(fk, source_row, pointers[source_row], row)
                     pointers[source_row] = row
         self._touch_relation(fact.relation)
         self.version += 1
@@ -343,8 +490,10 @@ class CompiledDatabase:
                 continue
             removed += 1
             self._c_tombstones.inc()
+            self._log((rel_name, fact_id, row, None))
             doomed.setdefault(rel_name, set()).add(row)
             for fk in self.schema.foreign_keys_from(rel_name):
+                self._log_link(fk, row, self.fk_target_rows[fk.name][row], -1)
                 self.fk_target_rows[fk.name][row] = -1
         if not removed:
             return 0
@@ -355,8 +504,9 @@ class CompiledDatabase:
                 stale = np.nonzero(
                     np.isin(np.asarray(pointers, dtype=np.int64), dead)
                 )[0]
-                for source_row in stale:
-                    pointers[int(source_row)] = -1
+                for source_row in stale.tolist():
+                    self._log_link(fk, source_row, pointers[source_row], -1)
+                    pointers[source_row] = -1
             self._touch_relation(rel_name)
         self.version += 1
         for rel_name in doomed:
@@ -371,19 +521,39 @@ class CompiledDatabase:
             self.compact()
 
     def compact(self) -> bool:
-        """Rebuild the arrays without tombstoned rows; returns True if any.
+        """Drop tombstoned rows from the arrays; returns True if any.
 
-        Row numbers change, so every per-relation and per-foreign-key dirty
-        counter is bumped (``_compile`` does) and downstream matrices
-        rebuild.  Called lazily from :meth:`remove_fact`; safe to call
-        explicitly (e.g. before persisting a snapshot).
+        The compiled state is renumbered, not re-read from the database:
+        surviving rows keep their order, values and links, and every
+        vocabulary is rebuilt in order of first use, so the result is what
+        a fresh compilation of the same facts in the same order gives.  Row
+        numbers and codes change, so every dirty counter is bumped and the
+        journal starts a new numbering (:attr:`generation`).  Called lazily
+        from :meth:`remove_fact`; safe to call explicitly (e.g. before
+        persisting a snapshot).
         """
         if not any(rel.num_dead for rel in self.relations.values()):
             return False
         self._c_compactions.inc()
+        started = time.perf_counter()
         with self.telemetry.span("engine.compact"):
-            self._compile()
+            new_rows = {name: rel.compact() for name, rel in self.relations.items()}
+            for fk in self.schema.foreign_keys:
+                pointers = np.asarray(self.fk_target_rows[fk.name], dtype=np.int64)
+                # no pointer targets a tombstone (removal repaired them), and
+                # a dangling -1 reads the appended -1
+                remap = np.append(new_rows[fk.target], -1)
+                self.fk_target_rows[fk.name] = remap[
+                    pointers[new_rows[fk.source] >= 0]
+                ].tolist()
+            for name in self.relations:
+                self._touch_relation(name)
+        self._h_compile.observe(time.perf_counter() - started)
+        self._c_compiles.inc()
         self.version += 1
+        self._log(("renumbered",))
+        self.generation += 1
+        self.generation_start = self.position
         return True
 
     # --------------------------------------------------------------- update
@@ -405,9 +575,14 @@ class CompiledDatabase:
                 self.add_fact(self.db.fact(fact.fact_id))
                 return True
             return False
-        values_changed = False
-        for name, value in zip(relation.schema.attribute_names, fact.values):
-            values_changed |= relation.columns[name].set(row, value)
+        reencoded = tuple(
+            name
+            for name, value in zip(relation.schema.attribute_names, fact.values)
+            if relation.columns[name].set(row, value)
+        )
+        values_changed = bool(reencoded)
+        if values_changed:
+            self._log((fact.relation, fact.fact_id, row, reencoded))
         db_fact = self.db._facts_by_id.get(fact.fact_id, fact)  # noqa: SLF001
         fk_changed = False
         for fk in self.schema.foreign_keys_from(fact.relation):
@@ -419,6 +594,7 @@ class CompiledDatabase:
             )
             pointers = self.fk_target_rows[fk.name]
             if pointers[row] != pointer:
+                self._log_link(fk, row, pointers[row], pointer)
                 pointers[row] = pointer
                 self.fk_versions[fk.name] += 1
                 fk_changed = True
@@ -447,12 +623,15 @@ class CompiledDatabase:
                     if source_fact is not None
                     else None
                 )
-                pointers[stale] = (
+                pointer = (
                     -1
                     if target is None
                     else self.relations[fk.target].row_of.get(target.fact_id, -1)
                 )
+                self._log_link(fk, stale, row, pointer)
+                pointers[stale] = pointer
             for fresh in new_rows - old_rows:
+                self._log_link(fk, fresh, pointers[fresh], row)
                 pointers[fresh] = row
         if values_changed:
             self.rel_versions[fact.relation] += 1

@@ -18,14 +18,21 @@ like the reference BFS), and ``attribute_matrix(s, A)`` additionally
 aggregates destination mass over the dictionary-encoded values of ``A`` and
 renormalises over non-⊥ values (the paper's posterior convention).
 
-All products are cached per scheme under a *dirty signature* — the per-
-relation and per-foreign-key mutation counters the scheme actually reads —
-so consumers that share an engine — FoRWaRD training, the dynamic extender,
-the experiment drivers — never recompute a distribution the engine has
-already seen, and a single-fact insert/delete/update during streaming only
-invalidates the schemes whose relations or foreign keys it touched.  The
-all-at-once extension batch reads whole attribute matrices and slices the
-rows it needs.
+The transition, mass, destination and column matrices are cached under a
+*dirty signature* (the per-relation and per-foreign-key mutation counters
+they read).  Attribute matrices are *maintained by rows* instead.  The
+compiled database journals the rows each mutation touches
+(:meth:`~repro.engine.compiled.CompiledDatabase.changes_since`);
+:meth:`WalkEngine.moved_rows` pulls those marks back through a scheme's
+step matrices to the start rows whose walk reaches one, and
+:meth:`WalkEngine.attribute_matrix` re-derives only those rows — once per
+scheme, for every kept attribute of it — and splices them into the kept
+matrix.  Every product computes an output row from one input row, so the
+re-derived rows equal the full build's bit for bit; the full build runs
+only for a first request and after the rows were renumbered (compaction).
+:meth:`WalkEngine.attribute_view` hands a consumer the matrix together with
+the rows that moved since the journal position it last read, so the
+all-at-once extension re-derives its entries only for those rows.
 
 Single-fact queries (the one-by-one extension path) slice a row of a
 current destination matrix when one exists; otherwise they run an
@@ -42,13 +49,14 @@ never promotes.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from repro.db.database import Database, Fact
-from repro.engine.compiled import CompiledDatabase
+from repro.engine.compiled import CompiledDatabase, RowDelta
 from repro.obs import ENGINE_CACHE_KINDS, NULL_TELEMETRY, Telemetry
 from repro.walks.schemes import Direction, WalkScheme, WalkStep
 
@@ -63,16 +71,107 @@ def _normalize_rows(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
         # stored zeros (possible only through extreme underflow) would put
         # zero-probability entries into the support; prune them first
         matrix.eliminate_zeros()
-    row_counts = np.diff(matrix.indptr)
+    matrix.data = _normalized(matrix.indptr, matrix.data)
+    return matrix
+
+
+def _normalized(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """CSR ``data`` with every non-empty row divided by its sum."""
+    row_counts = np.diff(indptr)
     sums = np.zeros(row_counts.size, dtype=np.float64)
     non_empty = row_counts > 0
-    if matrix.data.size:
+    if data.size:
         # reduceat over non-empty rows only: their start offsets are strictly
         # increasing, so each segment ends exactly at the next row's start
-        sums[non_empty] = np.add.reduceat(matrix.data, matrix.indptr[:-1][non_empty])
+        sums[non_empty] = np.add.reduceat(data, indptr[:-1][non_empty])
     scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
-    matrix.data = matrix.data * np.repeat(scale, row_counts)
-    return matrix
+    return data * np.repeat(scale, row_counts)
+
+
+def row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the given CSR rows' entries, row after row, and row lengths."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum()), lengths
+
+
+#: A CSR block of rows as plain arrays: ``(indptr, indices, data)``.
+Block = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _accumulate(
+    n_rows: int, rows: np.ndarray, columns: np.ndarray, values: np.ndarray, n_columns: int
+) -> Block:
+    """The sums of ``values`` per (row, column), laid out as scipy's
+    ``csr_matmat`` lays out a product: each sum accumulated from zero in the
+    order given, a row's columns in reverse order of their first term, and
+    zero sums dropped."""
+    keys = rows * n_columns + columns
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.ones(keys.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    group = np.empty(keys.size, dtype=np.int64)
+    group[order] = np.cumsum(starts) - 1
+    sums = np.bincount(group, weights=values)  # in the given order, per key
+    unique, first = ordered[starts], order[starts]
+    key_rows = unique // n_columns
+    layout = np.argsort(key_rows * keys.size - first, kind="stable")
+    layout = layout[sums[layout] != 0]
+    counts = np.bincount(key_rows[layout], minlength=n_rows)
+    return (
+        np.concatenate(([0], np.cumsum(counts))),
+        unique[layout] - key_rows[layout] * n_columns,
+        sums[layout],
+    )
+
+
+def _times(block: Block, matrix: sparse.csr_matrix) -> Block:
+    """``block @ matrix``, entry for entry as scipy computes it: every term
+    ``left · right`` in left-entry-major, right-entry-minor order."""
+    indptr, indices, data = block
+    entries, counts = row_entries(matrix.indptr, indices)
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    return _accumulate(
+        indptr.size - 1,
+        np.repeat(rows, counts),
+        matrix.indices[entries],
+        np.repeat(data, counts) * matrix.data[entries],
+        matrix.shape[1],
+    )
+
+
+def _splice(
+    matrix: sparse.csr_matrix, rows: np.ndarray, block: Block, shape: tuple[int, int]
+) -> sparse.csr_matrix:
+    """A new ``shape`` matrix: ``matrix`` with its rows ``rows`` (ascending,
+    possibly past its end) replaced by the rows of ``block``, in order."""
+    old_lengths = np.diff(matrix.indptr)
+    replaced = np.zeros(shape[0], dtype=bool)
+    replaced[rows] = True
+    lengths = np.zeros(shape[0], dtype=np.int64)
+    lengths[: old_lengths.size] = old_lengths
+    lengths[rows] = np.diff(block[0])
+    placed = np.repeat(replaced, lengths)
+    carried = ~np.repeat(replaced[: old_lengths.size], old_lengths)
+    indices = np.empty(placed.size, dtype=np.int64)
+    indices[placed] = block[1]
+    indices[~placed] = matrix.indices[carried]
+    data = np.empty(placed.size)
+    data[placed] = block[2]
+    data[~placed] = matrix.data[carried]
+    return sparse.csr_matrix(
+        (data, indices, np.concatenate(([0], np.cumsum(lengths)))), shape=shape
+    )
+
+
+@dataclass(eq=False)
+class _KeptScheme:
+    """One scheme's attribute matrices, current as of journal ``position``."""
+
+    position: int
+    matrices: dict[str, tuple[sparse.csr_matrix, np.ndarray]] = field(default_factory=dict)
 
 
 class WalkEngine:
@@ -103,16 +202,15 @@ class WalkEngine:
         # mutation only invalidates the matrices it could have affected
         self._step_cache: dict[tuple[str, Direction], tuple[int, sparse.csr_matrix]] = {}
         self._mass_cache: dict[WalkScheme, tuple[tuple, sparse.csr_matrix]] = {}
-        self._dest_cache: dict[WalkScheme, tuple[tuple, sparse.csr_matrix]] = {}
-        self._attr_cache: dict[
-            tuple[WalkScheme, str], tuple[tuple, tuple[sparse.csr_matrix, np.ndarray]]
-        ] = {}
-        self._column_cache: dict[
-            tuple[str, str], tuple[int, sparse.csr_matrix, np.ndarray, np.ndarray]
-        ] = {}
+        self._kept: dict[WalkScheme, _KeptScheme] = {}
+        # moved-row marks at one journal position, per (scheme, since) and
+        # per (scheme, attribute, since), with the deltas they came from
+        self._marks_position = -1
+        self._deltas: dict[int, RowDelta | None] = {}
+        self._marks: dict[tuple, np.ndarray | None] = {}
         # the first fact to query each scheme through destination_row at the
         # current version — a *different* fact querying the same scheme
-        # promotes to the full batched matrix
+        # promotes to the full batched mass matrix
         self._row_queries: dict[WalkScheme, int] = {}
         self._row_queries_version = self.compiled.version
 
@@ -136,6 +234,8 @@ class WalkEngine:
             for kind in ENGINE_CACHE_KINDS
         }
         self._h_refresh = metrics.histogram("engine.refresh.seconds")
+        self._rows_rederived = metrics.counter("engine.attr.rows.rederived")
+        self._rows_kept = metrics.counter("engine.attr.rows.kept")
         self.compiled.set_telemetry(self.telemetry)
 
     # ---------------------------------------------------------- persistence
@@ -254,15 +354,7 @@ class WalkEngine:
         Shape is ``(n_start, n_end)`` in compiled row numbering; rows of
         facts with no complete walk are empty (tombstoned rows always are).
         """
-        signature = self._scheme_signature(scheme)
-        hit = self._dest_cache.get(scheme)
-        if hit is not None and hit[0] == signature:
-            self._cache_hits["dest"].inc()
-            return hit[1]
-        self._cache_misses["dest"].inc()
-        matrix = _normalize_rows(self._mass_matrix(scheme).copy())
-        self._dest_cache[scheme] = (signature, matrix)
-        return matrix
+        return _normalize_rows(self._mass_matrix(scheme).copy())
 
     def _mass_matrix(self, scheme: WalkScheme) -> sparse.csr_matrix:
         """Unnormalised walk mass, with prefix products shared across schemes.
@@ -324,8 +416,8 @@ class WalkEngine:
         """One fact's destination row: a slice of a current matrix, else a BFS.
 
         With ``promote`` (:meth:`destination_row`), a second distinct fact
-        querying ``scheme`` at the current version builds the batched matrix
-        instead.  The fused pipeline (:meth:`attribute_rows`) never promotes:
+        querying ``scheme`` at the current version builds the batched mass
+        matrix instead.  The fused pipeline (:meth:`attribute_rows`) never promotes:
         a streaming arrival queries every walk target exactly once, so
         building a whole-relation matrix per batch would cost far more than
         the O(walk support) propagation it replaces.
@@ -333,10 +425,10 @@ class WalkEngine:
         if fact.fact_id not in self.compiled.relations[scheme.start_relation].row_of:
             # the fact was inserted without add_facts/refresh; catch up
             self.refresh()
-        hit = self._dest_cache.get(scheme)
+        hit = self._mass_cache.get(scheme)
         if hit is not None and hit[0] == self._scheme_signature(scheme):
-            self._cache_hits["dest"].inc()
-            matrix = hit[1]
+            self._cache_hits["mass"].inc()
+            mass = hit[1]
         else:
             if self._row_queries_version != self.version:
                 self._row_queries.clear()
@@ -345,10 +437,17 @@ class WalkEngine:
                 self._row_queries.setdefault(scheme, fact.fact_id) == fact.fact_id
             ):
                 return self._bfs_row(fact, scheme)
-            matrix = self.destination_matrix(scheme)
+            mass = self._mass_matrix(scheme)
+        # the row of destination_matrix: the mass row, normalised on its own
         row = self.compiled.relations[scheme.start_relation].row_of[fact.fact_id]
-        lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
-        return matrix.indices[lo:hi].astype(np.int64), matrix.data[lo:hi].copy()
+        lo, hi = mass.indptr[row], mass.indptr[row + 1]
+        data = mass.data[lo:hi]
+        nonzero = data != 0
+        data = data[nonzero]
+        return (
+            mass.indices[lo:hi][nonzero].astype(np.int64),
+            _normalized(np.array([0, data.size]), data),
+        )
 
     def attribute_rows(
         self, fact: Fact, queries: Sequence[tuple[WalkScheme, str]]
@@ -385,16 +484,17 @@ class WalkEngine:
         for scheme, attribute in queries:
             self._check_start(fact, scheme)
             if batched:
-                hit = self._attr_cache.get((scheme, attribute))
+                kept = self._kept.get(scheme)
                 row_of = self.compiled.relations[scheme.start_relation].row_of
                 row = row_of.get(fact.fact_id)
                 # an unknown fact falls through to the row path, which self-syncs
                 if (
                     row is not None
-                    and hit is not None
-                    and hit[0] == self._attribute_signature(scheme)
+                    and kept is not None
+                    and kept.position == self.compiled.position
+                    and attribute in kept.matrices
                 ):
-                    matrix, vocab = hit[1]
+                    matrix, vocab = kept.matrices[attribute]
                     lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
                     results.append(
                         (vocab[matrix.indices[lo:hi]], matrix.data[lo:hi].copy())
@@ -419,8 +519,8 @@ class WalkEngine:
         """Aggregate one destination row's mass over the non-⊥ values of ``A``."""
         if rows.size == 0:
             return None
-        _indicator, vocab, codes = self._column(scheme.end_relation, attribute)
-        row_codes = codes[rows]
+        column = self.compiled.relations[scheme.end_relation].columns[attribute]
+        row_codes = np.fromiter(map(column.codes.__getitem__, rows.tolist()), np.int64, rows.size)
         non_null = row_codes >= 0
         if not np.any(non_null):
             return None
@@ -430,7 +530,9 @@ class WalkEngine:
         mass = np.bincount(inverse, weights=probabilities[non_null])
         keep = mass > 0
         probs = mass[keep]
-        return vocab[used[keep]], probs / probs.sum()
+        values = np.empty(int(keep.sum()), dtype=object)
+        values[:] = [column.vocab[code] for code in used[keep].tolist()]
+        return values, probs / probs.sum()
 
     def _bfs_row(self, fact: Fact, scheme: WalkScheme) -> tuple[np.ndarray, np.ndarray]:
         """Single-source propagation through the database's own FK indexes."""
@@ -453,17 +555,12 @@ class WalkEngine:
             )
         return rows, np.asarray(distribution.probabilities, dtype=np.float64)
 
-    def _column(
-        self, relation: str, attribute: str
-    ) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """(one-hot indicator over non-⊥ codes, vocabulary, codes) of a column."""
-        key = (relation, attribute)
-        rel_dirty = self.compiled.rel_versions[relation]
-        hit = self._column_cache.get(key)
-        if hit is not None and hit[0] == rel_dirty:
-            self._cache_hits["column"].inc()
-            return hit[1], hit[2], hit[3]
-        self._cache_misses["column"].inc()
+    def _column(self, relation: str, attribute: str) -> tuple[sparse.csr_matrix, np.ndarray]:
+        """(one-hot indicator over non-⊥ codes, vocabulary) of a column.
+
+        Built for full attribute-matrix builds only, which run on a first
+        request and after a renumbering; row re-derivation reads codes.
+        """
         compiled_rel = self.compiled.relations[relation]
         column = compiled_rel.columns[attribute]
         codes = column.codes_array()
@@ -480,15 +577,7 @@ class WalkEngine:
             ),
             shape=(codes.size, len(column.vocab)),
         )
-        vocab = column.vocab_array()
-        self._column_cache[key] = (rel_dirty, indicator, vocab, codes)
-        return indicator, vocab, codes
-
-    def _attribute_signature(self, scheme: WalkScheme) -> tuple:
-        return (
-            self._scheme_signature(scheme),
-            self.compiled.rel_versions[scheme.end_relation],
-        )
+        return indicator, column.vocab_array()
 
     def attribute_matrix(
         self, scheme: WalkScheme, attribute: str
@@ -497,20 +586,198 @@ class WalkEngine:
         ``d_{f_i,s}[A]`` over value codes, already conditioned on non-⊥.
 
         Empty rows mean the attribute distribution does not exist for that
-        fact (no complete walk, or every destination has ⊥ in ``A``).
+        fact (no complete walk, or every destination has ⊥ in ``A``).  The
+        matrix is kept and brought up to date by re-deriving only the rows
+        that moved (see :meth:`moved_rows`), bit-identical to a full build;
+        a returned matrix is never modified afterwards.
         """
-        key = (scheme, attribute)
-        signature = self._attribute_signature(scheme)
-        hit = self._attr_cache.get(key)
-        if hit is not None and hit[0] == signature:
+        compiled = self.compiled
+        kept = self._kept.get(scheme)
+        rederived: set[str] = set()
+        if kept is None or kept.position < compiled.generation_start:
+            kept = self._kept[scheme] = _KeptScheme(compiled.position)
+        elif kept.position != compiled.position:
+            rederived = self._advance(scheme, kept)
+        payload = kept.matrices.get(attribute)
+        if payload is None:
+            self._cache_misses["attr"].inc()
+            destinations = self.destination_matrix(scheme)
+            indicator, vocab = self._column(scheme.end_relation, attribute)
+            payload = (_normalize_rows(destinations @ indicator), vocab)
+            self._rows_rederived.inc(destinations.shape[0])
+            kept.matrices[attribute] = payload
+        elif attribute not in rederived:
             self._cache_hits["attr"].inc()
-            return hit[1]
-        self._cache_misses["attr"].inc()
-        destinations = self.destination_matrix(scheme)
-        indicator, vocab, _codes = self._column(scheme.end_relation, attribute)
-        payload = (_normalize_rows(destinations @ indicator), vocab)
-        self._attr_cache[key] = (signature, payload)
         return payload
+
+    def attribute_view(
+        self, scheme: WalkScheme, attribute: str, since: int | None
+    ) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray | None]:
+        """:meth:`attribute_matrix` plus :meth:`moved_rows` since ``since``."""
+        matrix, vocab = self.attribute_matrix(scheme, attribute)
+        return matrix, vocab, self.moved_rows(scheme, attribute, since)
+
+    def moved_rows(
+        self, scheme: WalkScheme, attribute: str, since: int | None
+    ) -> np.ndarray | None:
+        """Which rows of ``attribute_matrix(scheme, attribute)`` can differ
+        from what they were at journal position ``since``: a boolean mask
+        over the start relation's current rows, or None when that is
+        unknown (no position, or one the journal no longer reaches).
+
+        A row is unmarked only if no row its walk reaches, at any step,
+        was touched since: no pointer it follows moved, no backward step it
+        takes gained or lost a source, and no destination was re-encoded in
+        ``attribute``.  Such a row holds the same entries in the same order,
+        by value, even across a compaction.
+        """
+        if since is None:
+            return None
+        position = self.compiled.position
+        if self._marks_position != position:
+            self._marks_position = position
+            self._deltas.clear()
+            self._marks.clear()
+        key = (scheme, attribute, since)
+        if key in self._marks:
+            return self._marks[key]
+        if since not in self._deltas:
+            self._deltas[since] = self.compiled.changes_since(since)
+        delta = self._deltas[since]
+        if delta is None:
+            moved = None
+        else:
+            if (scheme, since) not in self._marks:
+                self._marks[(scheme, since)] = self._pull_back(scheme, delta, None)
+            moved = self._marks[(scheme, since)]
+            codes = delta.codes.get((scheme.end_relation, attribute))
+            if codes is not None:
+                moved = moved | self._pull_back(scheme, delta, codes)
+        self._marks[key] = moved
+        return moved
+
+    def _pull_back(
+        self, scheme: WalkScheme, delta: RowDelta, end_rows: np.ndarray | None
+    ) -> np.ndarray:
+        """Start rows whose walk reaches a marked row, as a boolean mask.
+
+        With ``end_rows`` the marks are those end-relation rows.  Without,
+        they are the structure ``delta`` touched: per step, the rows whose
+        transitions moved (a forward step's sources whose pointer moved, a
+        backward step's old and new targets), and the start rows appended
+        or tombstoned.  Rows appended or tombstoned further along are
+        reached only through a moved pointer, so those marks cover them.
+        The marks travel backwards through the current pointers.
+        """
+        compiled = self.compiled
+        steps = scheme.steps
+        structural = end_rows is None
+        marks = np.zeros(compiled.relations[scheme.end_relation].num_rows, dtype=bool)
+        if not structural:
+            marks[end_rows] = True
+        for step in reversed(steps):
+            fk = step.foreign_key
+            pointers = compiled.fk_pointer_array(fk.name)
+            before = np.zeros(compiled.relations[step.from_relation].num_rows, dtype=bool)
+            if step.direction is Direction.FORWARD:
+                linked = pointers >= 0
+                before[linked] = marks[pointers[linked]]
+                moved = delta.sources.get(fk.name) if structural else None
+            else:
+                before[pointers[marks & (pointers >= 0)]] = True
+                moved = delta.targets.get(fk.name) if structural else None
+            if moved is not None:
+                before[moved] = True
+            marks = before
+        if structural and scheme.start_relation in delta.rows:
+            marks[delta.rows[scheme.start_relation]] = True
+        return marks
+
+    def _advance(self, scheme: WalkScheme, kept: _KeptScheme) -> set[str]:
+        """Bring a scheme's kept matrices to the current journal position.
+
+        The rows any kept attribute has moved are re-derived once for the
+        scheme and all its attributes together, then spliced into the
+        matrix of every attribute with a moved row; returns those
+        attributes.  When the moved rows are unknown the kept matrices are
+        dropped and rebuilt on request.
+        """
+        attributes = list(kept.matrices)
+        moved = [self.moved_rows(scheme, a, kept.position) for a in attributes]
+        kept.position = self.compiled.position
+        if any(rows is None for rows in moved):
+            kept.matrices.clear()
+            return set()
+        n_rows = self.compiled.relations[scheme.start_relation].num_rows
+        columns = self.compiled.relations[scheme.end_relation].columns
+        changed = [a for a, rows in zip(attributes, moved) if rows.any()]
+        for attribute in attributes:
+            matrix, vocab = kept.matrices[attribute]
+            if len(columns[attribute].vocab) != vocab.size:
+                # codes only append between renumberings: a longer vocabulary
+                # keeps every code's value
+                vocab = columns[attribute].vocab_array()
+                matrix = sparse.csr_matrix(
+                    (matrix.data, matrix.indices, matrix.indptr),
+                    shape=(matrix.shape[0], vocab.size),
+                )
+                kept.matrices[attribute] = (matrix, vocab)
+        self._rows_kept.inc(n_rows * (len(attributes) - len(changed)))
+        if not changed:
+            return set()
+        rows = np.flatnonzero(np.logical_or.reduce(moved))
+        indptr, indices, data = self._destination_rows(scheme, rows)
+        # the products with the columns' indicator matrices, all at once:
+        # block row ``a * rows.size + i`` is row ``rows[i]`` of attribute
+        # ``changed[a]``; each entry's mass goes to its destination's code
+        # and ⊥ destinations drop out
+        codes = np.array(
+            [list(map(columns[a].codes.__getitem__, indices.tolist())) for a in changed],
+            dtype=np.int64,
+        ).reshape(len(changed), indices.size)
+        block_rows = np.repeat(np.arange(rows.size), np.diff(indptr))
+        block_rows = np.arange(len(changed))[:, None] * rows.size + block_rows
+        valued = codes >= 0
+        b_indptr, b_indices, b_data = _accumulate(
+            len(changed) * rows.size,
+            block_rows[valued],
+            codes[valued],
+            np.broadcast_to(data, codes.shape)[valued],
+            max(len(columns[a].vocab) for a in changed),
+        )
+        b_data = _normalized(b_indptr, b_data)
+        for i, attribute in enumerate(changed):
+            self._cache_misses["attr"].inc()
+            matrix, vocab = kept.matrices[attribute]
+            bounds = b_indptr[i * rows.size : (i + 1) * rows.size + 1]
+            lo, hi = bounds[0], bounds[-1]
+            block = (bounds - lo, b_indices[lo:hi], b_data[lo:hi])
+            kept.matrices[attribute] = (
+                _splice(matrix, rows, block, (n_rows, vocab.size)), vocab
+            )
+        self._rows_rederived.inc(rows.size * len(changed))
+        self._rows_kept.inc((n_rows - rows.size) * len(changed))
+        return set(changed)
+
+    def _destination_rows(self, scheme: WalkScheme, rows: np.ndarray) -> Block:
+        """Rows ``rows`` of :meth:`destination_matrix`, bit for bit.
+
+        scipy's sparse product computes each output row from one row of the
+        left factor alone, so the chain of products over the selected rows
+        of the first step, done entry for entry as scipy does it
+        (:func:`_times`), gives exactly those rows of the full chain.
+        """
+        start = self.compiled.relations[scheme.start_relation]
+        if not scheme.steps:
+            alive = np.array([start.alive[row] for row in rows.tolist()], dtype=bool)
+            block = (np.concatenate(([0], np.cumsum(alive))), rows[alive], np.ones(int(alive.sum())))
+        else:
+            first = self.step_matrix(scheme.steps[0])
+            entries, lengths = row_entries(first.indptr, rows)
+            block = (np.concatenate(([0], np.cumsum(lengths))), first.indices[entries], first.data[entries])
+            for step in scheme.steps[1:]:
+                block = _times(block, self.step_matrix(step))
+        return block[0], block[1], _normalized(block[0], block[2])
 
     def attribute_row(
         self, fact: Fact, scheme: WalkScheme, attribute: str

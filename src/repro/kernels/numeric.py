@@ -40,8 +40,8 @@ class GaussianKernel(Kernel):
 
     def elementwise(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
         try:
-            xa = np.asarray([float(x) for x in xs], dtype=np.float64)
-            ya = np.asarray([float(y) for y in ys], dtype=np.float64)
+            xa = np.fromiter(map(float, xs), dtype=np.float64, count=len(xs))
+            ya = np.fromiter(map(float, ys), dtype=np.float64, count=len(ys))
         except (TypeError, ValueError):
             return super().elementwise(xs, ys)
         diff = xa - ya

@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Telemetry
 
 #: The engine cache kinds counted by :class:`~repro.engine.engine.WalkEngine`.
-ENGINE_CACHE_KINDS = ("step", "mass", "dest", "attr", "column")
+ENGINE_CACHE_KINDS = ("step", "mass", "attr")
 
 #: The per-batch apply stages of :meth:`EmbeddingService.apply`.
 SERVICE_STAGES = (

@@ -136,7 +136,7 @@ class TestFusionBehaviour:
             engine.attribute_rows(fact, queries)
         # the fused path serves single rows; a batch of arrivals must not
         # have built whole-relation CSR matrices
-        assert not engine._dest_cache  # noqa: SLF001
+        assert not engine._mass_cache  # noqa: SLF001
 
     def test_append_extension_is_bit_identical(self, movies_db):
         """Incremental appends: the fused rows on an engine that saw facts

@@ -206,10 +206,10 @@ class TestRefresh:
         engine.add_facts([studio])
         assert engine.step_matrix(step) is before  # cache hit, same object
         scheme = WalkScheme("COLLABORATIONS", (step,))
-        mass_before = engine.destination_matrix(scheme)
+        mass_before = engine._mass_matrix(scheme)
         db.insert("STUDIOS", {"sid": "s43", "name": "Indie2", "loc": "EU"})
         engine.refresh()
-        assert engine.destination_matrix(scheme) is mass_before
+        assert engine._mass_matrix(scheme) is mass_before
 
 
 class TestRandomizedChurnEquivalence:

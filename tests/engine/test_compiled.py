@@ -187,8 +187,8 @@ class TestWalkerCacheKeying:
         both misses structurally equal schemes and can collide after
         garbage collection."""
         engine = WalkEngine(db)
-        first = engine.destination_matrix(WalkScheme("ACTORS"))
-        second = engine.destination_matrix(WalkScheme("ACTORS"))
+        first = engine._mass_matrix(WalkScheme("ACTORS"))
+        second = engine._mass_matrix(WalkScheme("ACTORS"))
         assert second is first  # distinct but equal scheme objects hit the cache
 
     def test_walk_scheme_hashable(self, db):
@@ -218,9 +218,9 @@ class TestEngineSync:
         engine = WalkEngine(db)
         facts = db.facts("COLLABORATIONS")
         first = engine.destination_distribution(facts[0], scheme)
-        assert scheme not in engine._dest_cache  # cold query used the BFS path
+        assert scheme not in engine._mass_cache  # cold query used the BFS path
         second = engine.destination_distribution(facts[1], scheme)
-        assert scheme in engine._dest_cache  # second query built the matrix
+        assert scheme in engine._mass_cache  # second query built the matrix
         for fact, dist in ((facts[0], first), (facts[1], second)):
             from repro.walks import destination_distribution as reference
 
