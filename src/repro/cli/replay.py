@@ -2,7 +2,7 @@
 
 ::
 
-    python -m repro replay --dataset mondial --insert-ratio 0.1
+    python -m repro replay --dataset mondial --insert-ratio 0.5
     python -m repro replay --dataset mondial --ops insert,delete,update
 
 The serving-layer counterpart of the offline dynamic experiment: a dataset
@@ -39,7 +39,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     from repro.service.replay import DEFAULT_CONFIG
 
     parser.add_argument("--dataset", default="mondial", help="bundled dataset name")
-    parser.add_argument("--insert-ratio", type=float, default=0.1)
+    parser.add_argument("--insert-ratio", type=float, default=0.5)
     parser.add_argument("--scale", type=float, default=0.2, help="dataset generation scale")
     parser.add_argument("--policy", choices=("recompute", "on_arrival"), default="recompute")
     parser.add_argument(

@@ -120,15 +120,15 @@ class _TargetContext:
         entries in row order, so an entry's bits depend on its two rows alone.
         """
         indptr, indices, data = self.matrix.indptr, self.matrix.indices, self.matrix.data
+        n_codes = self.vocab.size
         new_entries, new_lengths = row_entries(indptr, fact_rows)
         entries, lengths = row_entries(indptr, anchor_rows)
         # S(fact, u) of each (fact, anchor code u) pair that occurs, summed
         # over the fact's row
-        codes, columns = np.unique(indices[entries], return_inverse=True)
         pairs, pair_of_entry = np.unique(
-            np.repeat(owners, lengths) * codes.size + columns, return_inverse=True
+            np.repeat(owners, lengths) * n_codes + indices[entries], return_inverse=True
         )
-        pair_facts, pair_codes = np.divmod(pairs, codes.size)
+        pair_facts, pair_codes = np.divmod(pairs, n_codes)
         fact_entries, spans = row_entries(
             np.concatenate(([0], np.cumsum(new_lengths))), pair_facts
         )
@@ -136,11 +136,11 @@ class _TargetContext:
         # each evaluated once
         fact_entries = new_entries[fact_entries]
         used, kernel_of = np.unique(
-            codes[np.repeat(pair_codes, spans)] * self.vocab.size + indices[fact_entries],
+            np.repeat(pair_codes, spans) * n_codes + indices[fact_entries],
             return_inverse=True,
         )
         kernel = self.target.kernel.elementwise(
-            self.vocab[used // self.vocab.size], self.vocab[used % self.vocab.size]
+            self.vocab[used // n_codes], self.vocab[used % n_codes]
         )
         similarity = np.add.reduceat(
             data[fact_entries] * kernel[kernel_of], np.cumsum(spans) - spans

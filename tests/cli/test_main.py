@@ -91,6 +91,26 @@ def test_method_spec_conflicting_with_hyper_flags_is_rejected(
     assert "--method supersedes" in err and "dimension" in err
 
 
+def test_default_replay_streams_at_least_twenty_facts():
+    """The default ``repro replay`` measures a stream, not a handful of
+    facts: partitioned with the parser's defaults (no model is fitted),
+    Mondial streams at least 20 facts of the prediction relation."""
+    from repro.cli.main import build_parser
+    from repro.datasets import load_dataset
+    from repro.dynamic.partition import partition_dataset
+
+    args = build_parser()[0].parse_args(["replay"])
+    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    partition = partition_dataset(dataset, ratio_new=args.insert_ratio, rng=args.seed)
+    streamed = [
+        fact
+        for batch in partition.new_batches
+        for fact in batch
+        if fact.relation == partition.prediction_relation
+    ]
+    assert len(streamed) >= 20
+
+
 class TestEmbedSubcommand:
     def test_embed_dataset_writes_versioned_npz(self, tmp_path, capsys):
         out = tmp_path / "emb.npz"

@@ -144,8 +144,9 @@ class TestSerialEquivalence:
         assert extender.extend_batch([]) == {}
 
 
-class TestSequenceMemo:
-    """Replaying the arrival sequence against what the last batch recorded."""
+class TestReplayDeterminism:
+    """Replaying the arrival sequence against what the last batch recorded
+    gives the bits a fresh pass gives."""
 
     def test_replay_with_same_seed_is_bit_identical(self, streamed):
         model, db, new_facts, prediction = streamed
@@ -464,3 +465,62 @@ class TestSchemeCacheAccounting:
         extender = ForwardDynamicExtender(model, db, recompute_old_paths=False)
         with pytest.raises(ValueError, match="recompute_old_paths"):
             extender.extend_batch(prediction)
+
+
+def _cross_matrix_entries(context, fact_rows, owners, anchor_rows):
+    """``_TargetContext.kd_entries`` as it was computed from one dense
+    ``kernel.cross_matrix`` between the codes the anchors and the facts use."""
+    from repro.engine.engine import row_entries
+
+    indptr, indices, data = context.matrix.indptr, context.matrix.indices, context.matrix.data
+    new_entries, new_lengths = row_entries(indptr, fact_rows)
+    entries, lengths = row_entries(indptr, anchor_rows)
+    new_codes, new_columns = np.unique(indices[new_entries], return_inverse=True)
+    codes, columns = np.unique(indices[entries], return_inverse=True)
+    kernel = context.target.kernel.cross_matrix(context.vocab[codes], context.vocab[new_codes])
+    pairs, pair_of_entry = np.unique(
+        np.repeat(owners, lengths) * codes.size + columns, return_inverse=True
+    )
+    pair_facts, pair_codes = np.divmod(pairs, codes.size)
+    fact_entries, spans = row_entries(np.concatenate(([0], np.cumsum(new_lengths))), pair_facts)
+    similarity = np.add.reduceat(
+        data[new_entries[fact_entries]]
+        * kernel[np.repeat(pair_codes, spans), new_columns[fact_entries]],
+        np.cumsum(spans) - spans,
+    )
+    return np.add.reduceat(data[entries] * similarity[pair_of_entry], np.cumsum(lengths) - lengths)
+
+
+class TestKernelGather:
+    """The right-hand-side gather evaluates the kernel only on the (anchor
+    code, fact code) pairs that occur, through ``Kernel.elementwise``; the
+    entries are bit-identical to evaluating one dense ``cross_matrix``."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "equality"])
+    def test_entries_match_the_cross_matrix_path_bit_for_bit(self, kind):
+        from scipy import sparse
+
+        from repro.core.forward import WalkTarget
+        from repro.kernels import EqualityKernel, GaussianKernel
+        from repro.walks import WalkScheme
+
+        rng = np.random.default_rng(4)
+        n_rows, n_codes = 40, 25
+        if kind == "gaussian":
+            kernel = GaussianKernel(variance=30.0)
+            values = list(rng.integers(0, 60, n_codes).astype(float))
+        else:
+            kernel = EqualityKernel()
+            values = [f"v{int(code) % 9}" for code in rng.integers(0, 60, n_codes)]
+        vocab = np.empty(n_codes, dtype=object)
+        vocab[:] = values
+        matrix = sparse.random(n_rows, n_codes, density=0.2, format="csr", random_state=5)
+        matrix.data = rng.random(matrix.nnz) + 0.1
+        reached = np.flatnonzero(np.diff(matrix.indptr) > 0)
+        target = WalkTarget(0, WalkScheme("MOVIES"), "title", kernel)
+        context = _TargetContext(target, matrix, vocab, None, reached, reached)
+        fact_rows = reached[:6]
+        owners = np.repeat(np.arange(fact_rows.size), 5)
+        anchor_rows = rng.choice(reached, owners.size)
+        expected = _cross_matrix_entries(context, fact_rows, owners, anchor_rows)
+        assert np.array_equal(context.kd_entries(fact_rows, owners, anchor_rows), expected)
