@@ -18,7 +18,8 @@ rows; the all-at-once batch (:meth:`ForwardDynamicExtender.extend_batch`,
 ``recompute_old_paths``) slices every old and new fact's distribution for a
 walk target out of the engine's attribute matrix, and re-derives only the
 right-hand-side entries and solve operators whose inputs moved since the
-previous batch.
+previous batch: the engine names the matrix rows that moved
+(:meth:`~repro.engine.WalkEngine.attribute_view`).
 """
 
 from __future__ import annotations
@@ -83,10 +84,13 @@ def anchor_picks(
     return picks
 
 
+#: Record keys are ``target index · KEY_SPAN + fact id``; fact ids stay below it.
+KEY_SPAN = 1 << 40
+
+
 @dataclass(eq=False)
 class _TargetContext:
-    """One walk target's share of an extension batch, kept as the record the
-    next batch reuses.
+    """One walk target's share of an extension batch.
 
     ``matrix``/``vocab``: the target's attribute matrix and vocabulary;
     ``moved``: the matrix rows that moved since the previous batch (a
@@ -94,9 +98,8 @@ class _TargetContext:
     :meth:`WalkEngine.attribute_view`; ``candidates``: φ rows of the trained
     facts alive and reaching the target, ascending; ``positions``: batch
     positions of the facts reaching it.  Assembly records the picks'
-    ``key`` and, per fact, by sorted ``fact_ids``, its anchor φ rows
-    (``anchors``, ascending) and right-hand sides (``rhs``).  Records hold
-    fact ids and φ rows, never matrix rows, so they outlive a renumbering.
+    ``key`` and the target's right-hand sides (``rhs``, one row per fact of
+    ``positions``).
     """
 
     target: WalkTarget
@@ -106,8 +109,6 @@ class _TargetContext:
     candidates: np.ndarray
     positions: np.ndarray
     key: int = 0
-    fact_ids: np.ndarray | None = None
-    anchors: np.ndarray | None = None
     rhs: np.ndarray | None = None
 
     def kd_entries(
@@ -115,40 +116,27 @@ class _TargetContext:
     ) -> np.ndarray:
         """``KD(d_anchor, d_fact)`` of every (``fact_rows[owners[j]]``,
         ``anchor_rows[j]``) pair of matrix rows: ``Σ_u p_anchor(u)·S(fact, u)``
-        with ``S(fact, u) = Σ_v p_fact(v)·K(u, v)`` — O(pairs × support),
-        never an anchors × facts matrix.  Each sum runs over one row's
-        entries in row order, so an entry's bits depend on its two rows alone.
+        with ``S(fact, u) = Σ_v p_fact(v)·K(u, v)``, term by term —
+        O(Σ |anchor row| · |fact row|), never an anchors × facts matrix.
+        Each sum runs over one row's entries in row order, so an entry's
+        bits depend on its two rows alone.
         """
         indptr, indices, data = self.matrix.indptr, self.matrix.indices, self.matrix.data
-        n_codes = self.vocab.size
-        new_entries, new_lengths = row_entries(indptr, fact_rows)
         entries, lengths = row_entries(indptr, anchor_rows)
-        # S(fact, u) of each (fact, anchor code u) pair that occurs, summed
-        # over the fact's row
-        pairs, pair_of_entry = np.unique(
-            np.repeat(owners, lengths) * n_codes + indices[entries], return_inverse=True
-        )
-        pair_facts, pair_codes = np.divmod(pairs, n_codes)
-        fact_entries, spans = row_entries(
-            np.concatenate(([0], np.cumsum(new_lengths))), pair_facts
-        )
+        # every (anchor entry u, fact entry v) term, fact entries in row order
+        terms, spans = row_entries(indptr, np.repeat(fact_rows[owners], lengths))
         # the kernel only at the (anchor code, fact code) pairs that occur,
         # each evaluated once
-        fact_entries = new_entries[fact_entries]
+        n_codes = self.vocab.size
         used, kernel_of = np.unique(
-            np.repeat(pair_codes, spans) * n_codes + indices[fact_entries],
-            return_inverse=True,
+            np.repeat(indices[entries], spans) * n_codes + indices[terms], return_inverse=True
         )
         kernel = self.target.kernel.elementwise(
             self.vocab[used // n_codes], self.vocab[used % n_codes]
         )
-        similarity = np.add.reduceat(
-            data[fact_entries] * kernel[kernel_of], np.cumsum(spans) - spans
-        )
         # every row reaches the target: no segment is empty
-        return np.add.reduceat(
-            data[entries] * similarity[pair_of_entry], np.cumsum(lengths) - lengths
-        )
+        similarity = np.add.reduceat(data[terms] * kernel[kernel_of], np.cumsum(spans) - spans)
+        return np.add.reduceat(data[entries] * similarity, np.cumsum(lengths) - lengths)
 
 
 class ForwardDynamicExtender:
@@ -201,6 +189,10 @@ class ForwardDynamicExtender:
         # (targets reached, pseudo-inverse of its system)
         self._contexts: dict[int, _TargetContext] = {}
         self._position: int | None = None  # the journal position they read
+        # per (target, fact) record, sorted by key (target index · KEY_SPAN
+        # + fact id): the anchor φ rows, ascending and padded with the
+        # trained count, and their right-hand sides
+        self._records: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._operators: dict[int, tuple[int, np.ndarray]] = {}
         self._projections: np.ndarray | None = None
 
@@ -376,17 +368,21 @@ class ForwardDynamicExtender:
         identical to calling :meth:`embed_fact` on every fact — both take each
         fact's anchors from :func:`anchor_picks` under :attr:`key` — but each
         walk target's old and new distributions are rows of one attribute
-        matrix and its right-hand sides are computed in one pass with one
-        kernel evaluation (see :meth:`_TargetContext.kd_entries`).  No
-        per-fact engine query, distribution object or BFS is made.  Returns
-        ``fact_id -> φ(f_new)``; the model is not modified.
+        matrix and its right-hand sides are computed in one pass that
+        evaluates the kernel only where it is used (see
+        :meth:`_TargetContext.kd_entries`).  No per-fact engine query,
+        distribution object or BFS is made.  Returns ``fact_id -> φ(f_new)``;
+        the model is not modified.
 
         Only what moved since the previous call is re-derived.  Per walk
-        target the rows the last batch read are compared bit for bit, and a
-        right-hand-side entry ``KD(d_anchor, d_fact)`` is recomputed only when
-        the fact's row moved, the anchor's row moved, or the anchor is newly
-        picked; when the target's matrix only gained rows, the facts the last
-        batch recorded keep their picks and entries without a diff.  Per
+        target the engine hands over, with the matrix, the rows that moved
+        since the journal position the previous call read
+        (:meth:`~repro.engine.WalkEngine.attribute_view`); every other row
+        holds the same entries in the same order, by value.  A fact keeps
+        its recorded picks while the key and the candidate set are
+        unchanged, and a right-hand-side entry ``KD(d_anchor, d_fact)`` is
+        recomputed only when the fact's row or the anchor's row moved, or
+        the anchor is newly picked.  Per
         fact, the :func:`~repro.utils.linalg.pseudo_inverse` of its system
         (rows of the frozen :attr:`projections`) is kept while its picks are
         unchanged and applied to its stacked right-hand sides.  Equal inputs
@@ -433,30 +429,16 @@ class ForwardDynamicExtender:
             position = compiled.position
             contexts = self._batch_contexts(new_rows, trained_rows, self._position)
         with telemetry.stage("service.embed.assemble"):
-            # per target: (target index, batch positions, anchor φ rows, rhs)
-            blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-            reached = np.zeros(len(facts), dtype=np.intp)
-            stale = np.zeros(len(facts), dtype=bool)
-            computed = 0
-            for context in contexts:
-                t_index, positions = context.target.index, context.positions
-                anchors, rhs, repicked, n_computed = self._assemble(
-                    context,
-                    self._contexts.get(t_index),
-                    fact_ids[positions],
-                    new_rows[positions],
-                    trained_ids,
-                    trained_rows,
-                )
-                computed += n_computed
-                stale[positions] |= repicked
-                reached[positions] += 1
-                blocks.append((t_index, positions, anchors, rhs))
-            metrics.counter("core.extend.rhs.computed").inc(computed)
-            metrics.counter("core.extend.rhs.reused").inc(
-                sum(block[2].size for block in blocks) - computed
+            positions, equations, rhs, repicked, computed = self._assemble(
+                contexts, fact_ids, new_rows, trained_ids, trained_rows
             )
+            valid = equations % (trained_ids.size + 1) < trained_ids.size
+            metrics.counter("core.extend.rhs.computed").inc(computed)
+            metrics.counter("core.extend.rhs.reused").inc(int(valid.sum()) - computed)
         with telemetry.stage("service.embed.solve"):
+            reached = np.bincount(positions, minlength=len(facts))
+            stale = np.zeros(len(facts), dtype=bool)
+            stale[positions[repicked]] = True
             previous = self._operators
             operators: dict[int, tuple[int, np.ndarray]] = {}
             factor = np.zeros(len(facts), dtype=bool)
@@ -468,26 +450,28 @@ class ForwardDynamicExtender:
                     factor[i] = True
                 else:
                     operators[fact_id] = cached
-            n_trained = trained_ids.size
-            systems = _by_fact(
-                [
-                    (positions, t_index * n_trained + anchors)
-                    for t_index, positions, anchors, _ in blocks
-                ],
-                factor,
-            )
-            flat = self.projections.reshape(-1, self.model.dimension)
-            for i, system in zip(np.flatnonzero(factor), systems):
-                operators[int(fact_ids[i])] = (int(reached[i]), pseudo_inverse(flat[system]))
+            # every fact's equations, target after target with anchors
+            # ascending: the order of embed_fact's system
+            owners = np.broadcast_to(positions[:, None], valid.shape)[valid]
+            order = np.argsort(owners, kind="stable")
+            bounds = np.concatenate(
+                ([0], np.cumsum(np.bincount(owners, minlength=len(facts))))
+            ).tolist()
+            t_index, slot = np.divmod(equations[valid][order], trained_ids.size + 1)
+            systems = self.projections[t_index, slot]
+            rhs = rhs[valid][order]
+            for i in np.flatnonzero(factor).tolist():
+                operators[int(fact_ids[i])] = (
+                    int(reached[i]),
+                    pseudo_inverse(systems[bounds[i] : bounds[i + 1]]),
+                )
             metrics.counter("core.extend.systems.factored").inc(int(factor.sum()))
             metrics.counter("core.extend.systems.reused").inc(len(operators) - int(factor.sum()))
             # a fact with no completable walk to any kernelized attribute
             # falls back to the trained centroid, exactly like embed_fact
             solutions = np.tile(self.model.phi.mean(axis=0), (len(facts), 1))
-            solved = reached > 0
-            stacked = _by_fact([(positions, rhs) for _, positions, _, rhs in blocks], solved)
-            for i, rhs in zip(np.flatnonzero(solved), stacked):
-                solutions[i] = operators[int(fact_ids[i])][1] @ rhs
+            for i in np.flatnonzero(reached).tolist():
+                solutions[i] = operators[int(fact_ids[i])][1] @ rhs[bounds[i] : bounds[i + 1]]
         self._contexts = {context.target.index: context for context in contexts}
         self._position = position
         self._operators = operators
@@ -495,71 +479,102 @@ class ForwardDynamicExtender:
 
     def _assemble(
         self,
-        context: _TargetContext,
-        previous: _TargetContext | None,
-        ids: np.ndarray,
-        rows: np.ndarray,
+        contexts: list[_TargetContext],
+        fact_ids: np.ndarray,
+        new_rows: np.ndarray,
         trained_ids: np.ndarray,
         trained_rows: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """One target's anchor φ rows and right-hand sides for the facts
-        ``ids`` (matrix ``rows``), with whether their picks changed and how
-        many entries were computed; records the batch on ``context``.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+        """Every target's anchors and right-hand sides, one record per
+        (target, fact reaching it), target after target.
 
-        A fact ``previous`` recorded keeps its picks while the key and the
-        candidate set are unchanged, whatever rows moved: the picks are a
-        function of those alone.  An entry of ``previous`` is reused unless
-        the fact's row or the anchor's row is among ``context.moved``, or
-        the anchor is newly picked.
+        Returns the records' batch positions; their equations as
+        ``target index · (n_trained + 1) + anchor φ row`` (slots past a
+        target's anchor count hold ``n_trained``); the right-hand sides;
+        whether a record's picks changed; and how many entries were
+        computed.  A fact the previous call recorded keeps its picks while
+        the key and the target's candidate set are unchanged, whatever rows
+        moved: the picks are a function of those alone.  A recorded entry is
+        reused unless the fact's row or the anchor's row is among the
+        target's moved rows, or the anchor is newly picked.
         """
         n_trained = trained_ids.size
-        candidates = context.candidates
+        pad = n_trained  # an empty anchor slot: sorts after every φ row
         count = self.model.config.n_new_samples
-        context.key = self.key
-        anchors = np.empty((ids.size, min(count, candidates.size)), dtype=np.intp)
-        recorded = np.zeros(ids.size, dtype=bool)
-        keep = recorded
-        if previous is not None:
-            pos = np.minimum(np.searchsorted(previous.fact_ids, ids), previous.fact_ids.size - 1)
-            recorded = previous.fact_ids[pos] == ids
-            if previous.key == self.key and np.array_equal(previous.candidates, candidates):
-                keep = recorded
-                anchors[keep] = previous.anchors[pos[keep]]
-        draw = ~keep
-        anchors[draw] = candidates[
-            anchor_picks(
-                self.key, ids[draw], context.target.index, trained_ids[candidates], count
-            )
-        ]
-        repicked = draw
-        if previous is not None and previous.anchors.shape[1] == anchors.shape[1]:
-            repicked = draw & (~recorded | (previous.anchors[pos] != anchors).any(axis=1))
-        rhs = np.empty(anchors.shape)
-        todo = np.ones(anchors.shape, dtype=bool)
-        if recorded.any() and context.moved is not None:
+        sizes = [context.positions.size for context in contexts]
+        blocks = np.cumsum([0, *sizes]).tolist()
+        positions = np.concatenate(
+            [np.zeros(0, dtype=np.intp), *(context.positions for context in contexts)]
+        )
+        t_index = np.repeat(
+            np.array([context.target.index for context in contexts], dtype=np.int64), sizes
+        )
+        ids, rows = fact_ids[positions], new_rows[positions]
+        keys = t_index * KEY_SPAN + ids
+        anchors = np.full((positions.size, count), pad, dtype=np.intp)
+        rhs = np.zeros(anchors.shape)
+        recorded = np.zeros(positions.size, dtype=bool)
+        keep = np.zeros(positions.size, dtype=bool)
+        if self._records is not None:
+            old_keys, old_anchors, old_rhs = self._records
+            pos = np.minimum(np.searchsorted(old_keys, keys), old_keys.size - 1)
+            recorded = old_keys[pos] == keys
+            for context, lo, hi in zip(contexts, blocks, blocks[1:]):
+                before = self._contexts.get(context.target.index)
+                keep[lo:hi] = (
+                    before is not None
+                    and before.key == self.key
+                    and np.array_equal(before.candidates, context.candidates)
+                )
+            keep &= recorded
+            anchors[keep] = old_anchors[pos[keep]]
+        for context, lo, hi in zip(contexts, blocks, blocks[1:]):
+            context.key = self.key
+            draw = lo + np.flatnonzero(~keep[lo:hi])
+            if draw.size:
+                picks = anchor_picks(
+                    self.key, ids[draw], context.target.index,
+                    trained_ids[context.candidates], count,
+                )
+                anchors[draw, : picks.shape[1]] = context.candidates[picks]
+        repicked = ~keep
+        todo = anchors < pad
+        if self._records is not None and recorded.any():
+            repicked &= ~recorded | (old_anchors[pos] != anchors).any(axis=1)
             # (recorded fact, anchor) pairs, ascending by construction
-            pairs = (
-                np.arange(previous.fact_ids.size)[:, None] * n_trained + previous.anchors
-            ).ravel()
-            wanted = pos[:, None] * n_trained + anchors
+            pairs = (np.arange(old_keys.size)[:, None] * (pad + 1) + old_anchors).ravel()
+            wanted = pos[:, None] * (pad + 1) + anchors
             slots = np.minimum(np.searchsorted(pairs, wanted), pairs.size - 1)
-            todo = (
-                ~recorded[:, None]
-                | (pairs[slots] != wanted)
-                | context.moved[rows][:, None]
-                | context.moved[trained_rows[anchors]]
+            # the moved rows of every target: all targets start at the model's relation
+            moved = np.stack([
+                np.ones(context.matrix.shape[0], dtype=bool)
+                if context.moved is None else context.moved
+                for context in contexts
+            ])
+            target_of = np.repeat(np.arange(len(contexts)), sizes)
+            reuse = (
+                todo
+                & recorded[:, None]
+                & (pairs[slots] == wanted)
+                & ~moved[target_of, rows][:, None]
+                & ~moved[target_of[:, None], np.append(trained_rows, 0)[anchors]]
             )
-            rhs[~todo] = previous.rhs.ravel()[slots[~todo]]
-        if todo.any():
-            pending = np.flatnonzero(todo.any(axis=1))
-            rhs[todo] = context.kd_entries(
-                rows[pending],
-                np.repeat(np.arange(pending.size), todo[pending].sum(axis=1)),
-                trained_rows[anchors[todo]],
-            )
-        order = np.argsort(ids)
-        context.fact_ids, context.anchors, context.rhs = ids[order], anchors[order], rhs[order]
-        return anchors, rhs, repicked, int(todo.sum())
+            rhs[reuse] = old_rhs.ravel()[slots[reuse]]
+            todo &= ~reuse
+        for context, lo, hi in zip(contexts, blocks, blocks[1:]):
+            block = todo[lo:hi]
+            pending = np.flatnonzero(block.any(axis=1))
+            if pending.size:
+                rhs[lo:hi][block] = context.kd_entries(
+                    rows[lo + pending],
+                    np.repeat(np.arange(pending.size), block[pending].sum(axis=1)),
+                    trained_rows[anchors[lo:hi][block]],
+                )
+            context.rhs = rhs[lo:hi, : min(count, context.candidates.size)]
+        order = np.argsort(keys)
+        self._records = (keys[order], anchors[order], rhs[order])
+        equations = t_index[:, None] * (pad + 1) + anchors
+        return positions, equations, rhs, repicked, int(todo.sum())
 
     def _batch_contexts(
         self, new_rows: np.ndarray, trained_rows: np.ndarray, since: int | None
@@ -587,25 +602,6 @@ class ForwardDynamicExtender:
                     _TargetContext(target, matrix, vocab, moved, candidates, positions)
                 )
         return contexts
-
-
-def _by_fact(
-    blocks: list[tuple[np.ndarray, np.ndarray]], wanted: np.ndarray
-) -> list[np.ndarray]:
-    """Per ``wanted`` batch position, in position order, the rows of every
-    (positions, values) block that belong to it, block after block: the
-    order of a fact's equations in :meth:`ForwardDynamicExtender.embed_fact`."""
-    if not wanted.any():
-        return []
-    owners, values = [], []
-    for positions, block in blocks:
-        keep = wanted[positions]
-        owners.append(np.repeat(positions[keep], block.shape[1]))
-        values.append(block[keep].ravel())
-    owners = np.concatenate(owners)
-    values = np.concatenate(values)[np.argsort(owners, kind="stable")]
-    counts = np.bincount(owners, minlength=wanted.size)[wanted]
-    return np.split(values, np.cumsum(counts)[:-1])
 
 
 def _expected_kernels(

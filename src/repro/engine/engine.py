@@ -18,9 +18,10 @@ like the reference BFS), and ``attribute_matrix(s, A)`` additionally
 aggregates destination mass over the dictionary-encoded values of ``A`` and
 renormalises over non-⊥ values (the paper's posterior convention).
 
-The transition, mass, destination and column matrices are cached under a
-*dirty signature* (the per-relation and per-foreign-key mutation counters
-they read).  Attribute matrices are *maintained by rows* instead.  The
+The transition and mass matrices are cached under a *dirty signature* (the
+per-relation and per-foreign-key mutation counters they read); the mass
+cache shares prefix products across the scheme tree.  Attribute matrices
+are *maintained by rows* instead.  The
 compiled database journals the rows each mutation touches
 (:meth:`~repro.engine.compiled.CompiledDatabase.changes_since`);
 :meth:`WalkEngine.moved_rows` pulls those marks back through a scheme's
@@ -35,14 +36,14 @@ the rows that moved since the journal position it last read, so the
 all-at-once extension re-derives its entries only for those rows.
 
 Single-fact queries (the one-by-one extension path) slice a row of a
-current destination matrix when one exists; otherwise they run an
+current attribute or mass matrix when one exists; otherwise they run an
 index-backed BFS (O(walk support), so one-by-one dynamic insertion stays
 O(walk) instead of O(database)).  The multi-query calls
 (:meth:`WalkEngine.attribute_rows`,
 :meth:`WalkEngine.attribute_distributions`) compute one destination row per
 distinct scheme, however many of its attributes they read.  Through
 :meth:`WalkEngine.destination_row`, a second *distinct* fact querying the
-same scheme promotes to the batched matrix; :meth:`WalkEngine.attribute_rows`
+same scheme promotes to the batched mass matrix; :meth:`WalkEngine.attribute_rows`
 never promotes.
 """
 
@@ -455,8 +456,7 @@ class WalkEngine:
         """``(values, probabilities)`` per (scheme, attribute) query for one fact.
 
         One destination propagation per *distinct* scheme — never promoted
-        to a whole-relation matrix — and one shared column decode per (end
-        relation, attribute).  Entries are None where the distribution does
+        to a whole-relation matrix.  Entries are None where the distribution does
         not exist, exactly like :meth:`attribute_row`.  The extension paths
         do not call it (the batch slices :meth:`attribute_matrix`, the
         serial path uses :meth:`attribute_distributions`); it is kept
@@ -475,7 +475,7 @@ class WalkEngine:
 
         ``batched`` (the :meth:`attribute_row` family) prefers the batched
         matrices: a current attribute matrix is sliced, and a second distinct
-        querier promotes the scheme to its destination matrix.  Without it
+        querier promotes the scheme to its mass matrix.  Without it
         (:meth:`attribute_rows`) every row is aggregated from a single-fact
         destination row that never promotes.
         """
