@@ -458,12 +458,12 @@ class ForwardDynamicExtender:
                 ([0], np.cumsum(np.bincount(owners, minlength=len(facts))))
             ).tolist()
             t_index, slot = np.divmod(equations[valid][order], trained_ids.size + 1)
-            systems = self.projections[t_index, slot]
             rhs = rhs[valid][order]
             for i in np.flatnonzero(factor).tolist():
+                system = slice(bounds[i], bounds[i + 1])
                 operators[int(fact_ids[i])] = (
                     int(reached[i]),
-                    pseudo_inverse(systems[bounds[i] : bounds[i + 1]]),
+                    pseudo_inverse(self.projections[t_index[system], slot[system]]),
                 )
             metrics.counter("core.extend.systems.factored").inc(int(factor.sum()))
             metrics.counter("core.extend.systems.reused").inc(len(operators) - int(factor.sum()))
@@ -588,10 +588,11 @@ class ForwardDynamicExtender:
         """
         alive = np.flatnonzero(trained_rows >= 0)
         contexts: list[_TargetContext] = []
-        for target in self.model.targets:
-            matrix, vocab, moved = self.engine.attribute_view(
-                target.scheme, target.attribute, since
-            )
+        targets = self.model.targets
+        views = self.engine.attribute_views(
+            [(target.scheme, target.attribute) for target in targets], since
+        )
+        for target, (matrix, vocab, moved) in zip(targets, views):
             indptr = matrix.indptr
             candidates = alive[
                 indptr[trained_rows[alive] + 1] > indptr[trained_rows[alive]]

@@ -591,13 +591,23 @@ class WalkEngine:
         that moved (see :meth:`moved_rows`), bit-identical to a full build;
         a returned matrix is never modified afterwards.
         """
+        kept = self._kept.get(scheme)
+        rederived = self._advance([(scheme, kept)]) if self._stale(kept) else set()
+        return self._kept_payload(scheme, attribute, rederived)
+
+    def _stale(self, kept: _KeptScheme | None) -> bool:
+        """Are these kept matrices behind the journal, in the same numbering?"""
+        compiled = self.compiled
+        return kept is not None and compiled.generation_start <= kept.position != compiled.position
+
+    def _kept_payload(
+        self, scheme: WalkScheme, attribute: str, rederived: set
+    ) -> tuple[sparse.csr_matrix, np.ndarray]:
+        """A current kept matrix (a hit unless just re-derived), else a full build."""
         compiled = self.compiled
         kept = self._kept.get(scheme)
-        rederived: set[str] = set()
-        if kept is None or kept.position < compiled.generation_start:
+        if kept is None or kept.position != compiled.position:
             kept = self._kept[scheme] = _KeptScheme(compiled.position)
-        elif kept.position != compiled.position:
-            rederived = self._advance(scheme, kept)
         payload = kept.matrices.get(attribute)
         if payload is None:
             self._cache_misses["attr"].inc()
@@ -606,9 +616,28 @@ class WalkEngine:
             payload = (_normalize_rows(destinations @ indicator), vocab)
             self._rows_rederived.inc(destinations.shape[0])
             kept.matrices[attribute] = payload
-        elif attribute not in rederived:
+        elif (scheme, attribute) not in rederived:
             self._cache_hits["attr"].inc()
         return payload
+
+    def attribute_views(
+        self, queries: Sequence[tuple[WalkScheme, str]], since: int | None
+    ) -> list[tuple[sparse.csr_matrix, np.ndarray, np.ndarray | None]]:
+        """:meth:`attribute_view` of every (scheme, attribute) query, the
+        stale schemes among them brought up to date together."""
+        stale = [
+            (scheme, self._kept[scheme])
+            for scheme in dict.fromkeys(scheme for scheme, _ in queries)
+            if self._stale(self._kept.get(scheme))
+        ]
+        rederived = self._advance(stale)
+        return [
+            (
+                *self._kept_payload(scheme, attribute, rederived),
+                self.moved_rows(scheme, attribute, since),
+            )
+            for scheme, attribute in queries
+        ]
 
     def attribute_view(
         self, scheme: WalkScheme, attribute: str, since: int | None
@@ -693,71 +722,80 @@ class WalkEngine:
             marks[delta.rows[scheme.start_relation]] = True
         return marks
 
-    def _advance(self, scheme: WalkScheme, kept: _KeptScheme) -> set[str]:
-        """Bring a scheme's kept matrices to the current journal position.
+    def _advance(self, stale: list[tuple[WalkScheme, _KeptScheme]]) -> set:
+        """Bring kept matrices to the current journal position.
 
-        The rows any kept attribute has moved are re-derived once for the
-        scheme and all its attributes together, then spliced into the
-        matrix of every attribute with a moved row; returns those
-        attributes.  When the moved rows are unknown the kept matrices are
-        dropped and rebuilt on request.
+        Per scheme, the rows any kept attribute has moved are re-derived
+        once for all its attributes; the products with the columns'
+        indicator matrices of every (scheme, attribute) then run as one
+        accumulation, and each attribute with a moved row gets its rows
+        spliced in.  Returns those (scheme, attribute) pairs.  A scheme
+        whose moved rows are unknown drops its kept matrices, to be rebuilt
+        on request.
         """
-        attributes = list(kept.matrices)
-        moved = [self.moved_rows(scheme, a, kept.position) for a in attributes]
-        kept.position = self.compiled.position
-        if any(rows is None for rows in moved):
-            kept.matrices.clear()
+        position = self.compiled.position
+        parts, block_rows, codes, masses = [], [], [], []
+        offset = width = 0
+        for scheme, kept in stale:
+            attributes = list(kept.matrices)
+            moved = [self.moved_rows(scheme, a, kept.position) for a in attributes]
+            kept.position = position
+            if any(rows is None for rows in moved):
+                kept.matrices.clear()
+                continue
+            n_rows = self.compiled.relations[scheme.start_relation].num_rows
+            columns = self.compiled.relations[scheme.end_relation].columns
+            changed = [a for a, rows in zip(attributes, moved) if rows.any()]
+            for attribute in attributes:
+                matrix, vocab = kept.matrices[attribute]
+                if len(columns[attribute].vocab) != vocab.size:
+                    # codes only append between renumberings: a longer
+                    # vocabulary keeps every code's value
+                    vocab = columns[attribute].vocab_array()
+                    matrix = sparse.csr_matrix(
+                        (matrix.data, matrix.indices, matrix.indptr),
+                        shape=(matrix.shape[0], vocab.size),
+                    )
+                    kept.matrices[attribute] = (matrix, vocab)
+            self._rows_kept.inc(n_rows * (len(attributes) - len(changed)))
+            if not changed:
+                continue
+            rows = np.flatnonzero(np.logical_or.reduce(moved))
+            indptr, indices, data = self._destination_rows(scheme, rows)
+            # block row ``offset + i`` is row ``rows[i]`` of one attribute:
+            # each entry's mass goes to its destination's code, ⊥
+            # destinations drop out
+            owners = np.repeat(np.arange(rows.size), np.diff(indptr))
+            ends = indices.tolist()
+            for attribute in changed:
+                column = columns[attribute]
+                row_codes = np.array(list(map(column.codes.__getitem__, ends)), dtype=np.int64)
+                valued = row_codes >= 0
+                block_rows.append(offset + owners[valued])
+                codes.append(row_codes[valued])
+                masses.append(data[valued])
+                parts.append((scheme, kept, attribute, rows, offset, n_rows))
+                offset += rows.size
+                width = max(width, len(column.vocab))
+        if not parts:
             return set()
-        n_rows = self.compiled.relations[scheme.start_relation].num_rows
-        columns = self.compiled.relations[scheme.end_relation].columns
-        changed = [a for a, rows in zip(attributes, moved) if rows.any()]
-        for attribute in attributes:
-            matrix, vocab = kept.matrices[attribute]
-            if len(columns[attribute].vocab) != vocab.size:
-                # codes only append between renumberings: a longer vocabulary
-                # keeps every code's value
-                vocab = columns[attribute].vocab_array()
-                matrix = sparse.csr_matrix(
-                    (matrix.data, matrix.indices, matrix.indptr),
-                    shape=(matrix.shape[0], vocab.size),
-                )
-                kept.matrices[attribute] = (matrix, vocab)
-        self._rows_kept.inc(n_rows * (len(attributes) - len(changed)))
-        if not changed:
-            return set()
-        rows = np.flatnonzero(np.logical_or.reduce(moved))
-        indptr, indices, data = self._destination_rows(scheme, rows)
-        # the products with the columns' indicator matrices, all at once:
-        # block row ``a * rows.size + i`` is row ``rows[i]`` of attribute
-        # ``changed[a]``; each entry's mass goes to its destination's code
-        # and ⊥ destinations drop out
-        codes = np.array(
-            [list(map(columns[a].codes.__getitem__, indices.tolist())) for a in changed],
-            dtype=np.int64,
-        ).reshape(len(changed), indices.size)
-        block_rows = np.repeat(np.arange(rows.size), np.diff(indptr))
-        block_rows = np.arange(len(changed))[:, None] * rows.size + block_rows
-        valued = codes >= 0
         b_indptr, b_indices, b_data = _accumulate(
-            len(changed) * rows.size,
-            block_rows[valued],
-            codes[valued],
-            np.broadcast_to(data, codes.shape)[valued],
-            max(len(columns[a].vocab) for a in changed),
+            offset, np.concatenate(block_rows), np.concatenate(codes),
+            np.concatenate(masses), width,
         )
         b_data = _normalized(b_indptr, b_data)
-        for i, attribute in enumerate(changed):
+        for scheme, kept, attribute, rows, start, n_rows in parts:
             self._cache_misses["attr"].inc()
+            self._rows_rederived.inc(rows.size)
+            self._rows_kept.inc(n_rows - rows.size)
             matrix, vocab = kept.matrices[attribute]
-            bounds = b_indptr[i * rows.size : (i + 1) * rows.size + 1]
+            bounds = b_indptr[start : start + rows.size + 1]
             lo, hi = bounds[0], bounds[-1]
             block = (bounds - lo, b_indices[lo:hi], b_data[lo:hi])
             kept.matrices[attribute] = (
                 _splice(matrix, rows, block, (n_rows, vocab.size)), vocab
             )
-        self._rows_rederived.inc(rows.size * len(changed))
-        self._rows_kept.inc((n_rows - rows.size) * len(changed))
-        return set(changed)
+        return {(scheme, attribute) for scheme, _kept, attribute, *_rest in parts}
 
     def _destination_rows(self, scheme: WalkScheme, rows: np.ndarray) -> Block:
         """Rows ``rows`` of :meth:`destination_matrix`, bit for bit.
