@@ -19,7 +19,7 @@ rows; the all-at-once batch (:meth:`ForwardDynamicExtender.extend_batch`,
 walk target out of the engine's attribute matrix, and re-derives only the
 right-hand-side entries and solve operators whose inputs moved since the
 previous batch: the engine names the matrix rows that moved
-(:meth:`~repro.engine.WalkEngine.attribute_view`).
+(:meth:`~repro.engine.WalkEngine.attribute_views`).
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class _TargetContext:
     ``matrix``/``vocab``: the target's attribute matrix and vocabulary;
     ``moved``: the matrix rows that moved since the previous batch (a
     boolean mask, None when every row may have), from
-    :meth:`WalkEngine.attribute_view`; ``candidates``: φ rows of the trained
+    :meth:`WalkEngine.attribute_views`; ``candidates``: φ rows of the trained
     facts alive and reaching the target, ascending; ``positions``: batch
     positions of the facts reaching it.  Assembly records the picks'
     ``key`` and the target's right-hand sides (``rhs``, one row per fact of
@@ -377,7 +377,7 @@ class ForwardDynamicExtender:
         Only what moved since the previous call is re-derived.  Per walk
         target the engine hands over, with the matrix, the rows that moved
         since the journal position the previous call read
-        (:meth:`~repro.engine.WalkEngine.attribute_view`); every other row
+        (:meth:`~repro.engine.WalkEngine.attribute_views`); every other row
         holds the same entries in the same order, by value.  A fact keeps
         its recorded picks while the key and the candidate set are
         unchanged, and a right-hand-side entry ``KD(d_anchor, d_fact)`` is

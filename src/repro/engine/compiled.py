@@ -244,13 +244,12 @@ class CompiledDatabase:
         self._compile()
 
     def _start_journal(self) -> None:
-        """An empty journal at position 0 and row numbering 0."""
+        """An empty journal at position 0."""
         self._fks = {fk.name: fk for fk in self.schema.foreign_keys}
-        #: bumped whenever rows are renumbered (compaction, recompilation)
-        self.generation = 0
         self._journal: list[tuple] = []
         self._journal_base = 0
-        #: the journal position the current row numbering starts at
+        #: the journal position the current row numbering starts at; rows
+        #: are renumbered by compaction and recompilation
         self.generation_start = 0
 
     def set_telemetry(self, telemetry: Telemetry | None) -> None:
@@ -275,7 +274,6 @@ class CompiledDatabase:
         # what changed is unknown: no position before this one is readable
         self._journal_base = self.position + 1
         self._journal = []
-        self.generation += 1
         self.generation_start = self._journal_base
         self.relations = {rel.name: CompiledRelation(rel) for rel in self.schema}
         for rel_name in self.schema.relation_names:
@@ -528,7 +526,7 @@ class CompiledDatabase:
         vocabulary is rebuilt in order of first use, so the result is what
         a fresh compilation of the same facts in the same order gives.  Row
         numbers and codes change, so every dirty counter is bumped and the
-        journal starts a new numbering (:attr:`generation`).  Called lazily
+        journal starts a new numbering (:attr:`generation_start`).  Called lazily
         from :meth:`remove_fact`; safe to call explicitly (e.g. before
         persisting a snapshot).
         """
@@ -552,7 +550,6 @@ class CompiledDatabase:
         self._c_compiles.inc()
         self.version += 1
         self._log(("renumbered",))
-        self.generation += 1
         self.generation_start = self.position
         return True
 

@@ -31,8 +31,8 @@ scheme, for every kept attribute of it — and splices them into the kept
 matrix.  Every product computes an output row from one input row, so the
 re-derived rows equal the full build's bit for bit; the full build runs
 only for a first request and after the rows were renumbered (compaction).
-:meth:`WalkEngine.attribute_view` hands a consumer the matrix together with
-the rows that moved since the journal position it last read, so the
+:meth:`WalkEngine.attribute_views` hands a consumer the matrices together
+with the rows that moved since the journal position it last read, so the
 all-at-once extension re-derives its entries only for those rows.
 
 Single-fact queries (the one-by-one extension path) slice a row of a
@@ -623,8 +623,9 @@ class WalkEngine:
     def attribute_views(
         self, queries: Sequence[tuple[WalkScheme, str]], since: int | None
     ) -> list[tuple[sparse.csr_matrix, np.ndarray, np.ndarray | None]]:
-        """:meth:`attribute_view` of every (scheme, attribute) query, the
-        stale schemes among them brought up to date together."""
+        """``(matrix, vocabulary, moved rows)`` per (scheme, attribute) query:
+        :meth:`attribute_matrix` with :meth:`moved_rows` since ``since``,
+        the stale schemes among the queries brought up to date together."""
         stale = [
             (scheme, self._kept[scheme])
             for scheme in dict.fromkeys(scheme for scheme, _ in queries)
@@ -638,13 +639,6 @@ class WalkEngine:
             )
             for scheme, attribute in queries
         ]
-
-    def attribute_view(
-        self, scheme: WalkScheme, attribute: str, since: int | None
-    ) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray | None]:
-        """:meth:`attribute_matrix` plus :meth:`moved_rows` since ``since``."""
-        matrix, vocab = self.attribute_matrix(scheme, attribute)
-        return matrix, vocab, self.moved_rows(scheme, attribute, since)
 
     def moved_rows(
         self, scheme: WalkScheme, attribute: str, since: int | None

@@ -6,7 +6,9 @@ Random insert/delete/update histories on the Movies fixture, foreign-key
 rewrites and compactions included, must keep three oracles after every
 step:
 
-* every maintained matrix equals a full build by a fresh engine over the
+* every maintained matrix — of every walk scheme of length at most 2 from
+  MOVIES and every attribute it ends at, identifiers included, so rows
+  hold several codes — equals a full build by a fresh engine over the
   same compiled arrays, bit for bit in ``indptr``, ``indices`` and ``data``;
 * the moved set reported since the previous step contains every start row
   whose reference-BFS attribute distribution changed (or is new);
@@ -26,6 +28,7 @@ from repro.db.errors import ConstraintViolation
 from repro.dynamic import partition_dataset
 from repro.engine import WalkEngine
 from repro.utils.rng import ensure_rng
+from repro.walks import enumerate_walk_schemes
 from repro.walks.random_walks import attribute_distribution
 
 SEED = 11
@@ -61,16 +64,23 @@ def _base():
 
 
 BASE_DB, MODEL, STREAM, RELATION = _base()
+#: (scheme, attribute) of every walk of length <= 2 from the prediction
+#: relation and every attribute of its end relation
+QUERIES = [
+    (scheme, attribute)
+    for scheme in enumerate_walk_schemes(BASE_DB.schema, RELATION, 2)
+    for attribute in BASE_DB.schema.relation(scheme.end_relation).attribute_names
+]
 
 
 def _reference(db):
-    """Reference-BFS attribute distribution of every start fact, per target,
+    """Reference-BFS attribute distribution of every start fact, per query,
     as ``{value: probability}`` (None when it does not exist)."""
     out = {}
-    for target in MODEL.targets:
+    for index, (scheme, attribute) in enumerate(QUERIES):
         for fact in db.facts(RELATION):
-            dist = attribute_distribution(db, fact, target.scheme, target.attribute)
-            out[target.index, fact.fact_id] = (
+            dist = attribute_distribution(db, fact, scheme, attribute)
+            out[index, fact.fact_id] = (
                 None if dist is None else dict(zip(dist.values, dist.probabilities))
             )
     return out
@@ -143,11 +153,10 @@ def test_moved_rows_cover_every_change_and_rows_match_a_full_build(data):
         fresh = WalkEngine(db, engine.compiled)
         current = _reference(db)
         row_of = engine.compiled.relations[RELATION].row_of
-        for target in MODEL.targets:
-            matrix, vocab, moved = engine.attribute_view(
-                target.scheme, target.attribute, since
-            )
-            full, full_vocab = fresh.attribute_matrix(target.scheme, target.attribute)
+        for index, (scheme, attribute) in enumerate(QUERIES):
+            matrix, vocab = engine.attribute_matrix(scheme, attribute)
+            moved = engine.moved_rows(scheme, attribute, since)
+            full, full_vocab = fresh.attribute_matrix(scheme, attribute)
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(matrix, name), getattr(full, name)), name
             assert list(vocab) == list(full_vocab)
@@ -155,9 +164,9 @@ def test_moved_rows_cover_every_change_and_rows_match_a_full_build(data):
                 continue
             assert moved is not None
             for fact in db.facts(RELATION):
-                key = (target.index, fact.fact_id)
+                key = (index, fact.fact_id)
                 if key not in reference or _changed(reference[key], current[key]):
-                    assert moved[row_of[fact.fact_id]], (target.index, fact)
+                    assert moved[row_of[fact.fact_id]], (scheme, attribute, fact)
         since, reference = engine.compiled.position, current
 
         prediction = list(streamed.values())
