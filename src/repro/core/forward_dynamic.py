@@ -429,10 +429,10 @@ class ForwardDynamicExtender:
             position = compiled.position
             contexts = self._batch_contexts(new_rows, trained_rows, self._position)
         with telemetry.stage("service.embed.assemble"):
-            positions, equations, rhs, repicked, computed = self._assemble(
+            positions, t_index, anchors, rhs, repicked, computed = self._assemble(
                 contexts, fact_ids, new_rows, trained_ids, trained_rows
             )
-            valid = equations % (trained_ids.size + 1) < trained_ids.size
+            valid = anchors < trained_ids.size
             metrics.counter("core.extend.rhs.computed").inc(computed)
             metrics.counter("core.extend.rhs.reused").inc(int(valid.sum()) - computed)
         with telemetry.stage("service.embed.solve"):
@@ -457,13 +457,13 @@ class ForwardDynamicExtender:
             bounds = np.concatenate(
                 ([0], np.cumsum(np.bincount(owners, minlength=len(facts))))
             ).tolist()
-            t_index, slot = np.divmod(equations[valid][order], trained_ids.size + 1)
-            rhs = rhs[valid][order]
+            targets = np.broadcast_to(t_index[:, None], valid.shape)[valid][order]
+            anchors, rhs = anchors[valid][order], rhs[valid][order]
             for i in np.flatnonzero(factor).tolist():
                 system = slice(bounds[i], bounds[i + 1])
                 operators[int(fact_ids[i])] = (
                     int(reached[i]),
-                    pseudo_inverse(self.projections[t_index[system], slot[system]]),
+                    pseudo_inverse(self.projections[targets[system], anchors[system]]),
                 )
             metrics.counter("core.extend.systems.factored").inc(int(factor.sum()))
             metrics.counter("core.extend.systems.reused").inc(len(operators) - int(factor.sum()))
@@ -484,19 +484,19 @@ class ForwardDynamicExtender:
         new_rows: np.ndarray,
         trained_ids: np.ndarray,
         trained_rows: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
         """Every target's anchors and right-hand sides, one record per
         (target, fact reaching it), target after target.
 
-        Returns the records' batch positions; their equations as
-        ``target index · (n_trained + 1) + anchor φ row`` (slots past a
-        target's anchor count hold ``n_trained``); the right-hand sides;
-        whether a record's picks changed; and how many entries were
-        computed.  A fact the previous call recorded keeps its picks while
-        the key and the target's candidate set are unchanged, whatever rows
-        moved: the picks are a function of those alone.  A recorded entry is
-        reused unless the fact's row or the anchor's row is among the
-        target's moved rows, or the anchor is newly picked.
+        Returns the records' batch positions and target indexes; their
+        anchor φ rows, ascending (slots past a target's anchor count hold
+        ``n_trained``); the right-hand sides; whether a record's picks
+        changed; and how many entries were computed.  A fact the previous
+        call recorded keeps its picks while the key and the target's
+        candidate set are unchanged, whatever rows moved: the picks are a
+        function of those alone.  A recorded entry is reused unless the
+        fact's row or the anchor's row is among the target's moved rows, or
+        the anchor is newly picked.
         """
         n_trained = trained_ids.size
         pad = n_trained  # an empty anchor slot: sorts after every φ row
@@ -573,8 +573,7 @@ class ForwardDynamicExtender:
             context.rhs = rhs[lo:hi, : min(count, context.candidates.size)]
         order = np.argsort(keys)
         self._records = (keys[order], anchors[order], rhs[order])
-        equations = t_index[:, None] * (pad + 1) + anchors
-        return positions, equations, rhs, repicked, int(todo.sum())
+        return positions, t_index, anchors, rhs, repicked, int(todo.sum())
 
     def _batch_contexts(
         self, new_rows: np.ndarray, trained_rows: np.ndarray, since: int | None

@@ -801,12 +801,15 @@ class WalkEngine:
         """
         start = self.compiled.relations[scheme.start_relation]
         if not scheme.steps:
+            # the identity over live rows: a tombstoned row walks nowhere
             alive = np.array([start.alive[row] for row in rows.tolist()], dtype=bool)
-            block = (np.concatenate(([0], np.cumsum(alive))), rows[alive], np.ones(int(alive.sum())))
+            indptr = np.concatenate(([0], np.cumsum(alive)))
+            block = (indptr, rows[alive], np.ones(int(alive.sum())))
         else:
             first = self.step_matrix(scheme.steps[0])
             entries, lengths = row_entries(first.indptr, rows)
-            block = (np.concatenate(([0], np.cumsum(lengths))), first.indices[entries], first.data[entries])
+            indptr = np.concatenate(([0], np.cumsum(lengths)))
+            block = (indptr, first.indices[entries], first.data[entries])
             for step in scheme.steps[1:]:
                 block = _times(block, self.step_matrix(step))
         return block[0], block[1], _normalized(block[0], block[2])
