@@ -138,6 +138,10 @@ def test_moved_rows_cover_every_change_and_rows_match_a_full_build(data):
     if data.draw(st.booleans(), label="compact on every delete"):
         engine.compiled.COMPACT_MIN_DEAD = 1
         engine.compiled.COMPACT_FRACTION = 0.0
+    # a short journal loses positions: every row then counts as moved
+    short_journal = data.draw(st.booleans(), label="short journal")
+    if short_journal:
+        engine.compiled.JOURNAL_LIMIT = 3
     extender = ForwardDynamicExtender(
         MODEL, db, recompute_old_paths=True, rng=SEED, engine=engine
     )
@@ -160,7 +164,7 @@ def test_moved_rows_cover_every_change_and_rows_match_a_full_build(data):
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(matrix, name), getattr(full, name)), name
             assert list(vocab) == list(full_vocab)
-            if since is None:
+            if since is None or (short_journal and moved is None):
                 continue
             assert moved is not None
             for fact in db.facts(RELATION):
