@@ -451,14 +451,14 @@ class ForwardDynamicExtender:
                 else:
                     operators[fact_id] = cached
             # every fact's equations, target after target with anchors
-            # ascending: the order of embed_fact's system
-            owners = np.broadcast_to(positions[:, None], valid.shape)[valid]
-            order = np.argsort(owners, kind="stable")
-            bounds = np.concatenate(
-                ([0], np.cumsum(np.bincount(owners, minlength=len(facts))))
-            ).tolist()
-            targets = np.broadcast_to(t_index[:, None], valid.shape)[valid][order]
-            anchors, rhs = anchors[valid][order], rhs[valid][order]
+            # ascending: the order of embed_fact's system (records are
+            # target-major, and a stable sort keeps that per fact)
+            counts = np.bincount(positions, valid.sum(axis=1), len(facts)).astype(np.int64)
+            bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+            order = np.argsort(positions, kind="stable")
+            valid = valid[order]
+            targets = np.broadcast_to(t_index[order][:, None], valid.shape)[valid]
+            anchors, rhs = anchors[order][valid], rhs[order][valid]
             for i in np.flatnonzero(factor).tolist():
                 system = slice(bounds[i], bounds[i + 1])
                 operators[int(fact_ids[i])] = (
@@ -540,11 +540,19 @@ class ForwardDynamicExtender:
         repicked = ~keep
         todo = anchors < pad
         if self._records is not None and recorded.any():
-            repicked &= ~recorded | (old_anchors[pos] != anchors).any(axis=1)
-            # (recorded fact, anchor) pairs, ascending by construction
-            pairs = (np.arange(old_keys.size)[:, None] * (pad + 1) + old_anchors).ravel()
-            wanted = pos[:, None] * (pad + 1) + anchors
-            slots = np.minimum(np.searchsorted(pairs, wanted), pairs.size - 1)
+            same = old_anchors[pos] == anchors
+            repicked &= ~recorded | ~same.all(axis=1)
+            # a recorded entry sits in the same slot while the picks hold; a
+            # redrawn fact's anchors are looked up among its recorded pairs,
+            # which are ascending by construction
+            slots = pos[:, None] * count + np.arange(count)
+            found = recorded[:, None] & same
+            redrawn = np.flatnonzero(recorded & ~keep)
+            if redrawn.size:
+                pairs = (np.arange(old_keys.size)[:, None] * (pad + 1) + old_anchors).ravel()
+                wanted = pos[redrawn, None] * (pad + 1) + anchors[redrawn]
+                at = np.minimum(np.searchsorted(pairs, wanted), pairs.size - 1)
+                slots[redrawn], found[redrawn] = at, pairs[at] == wanted
             # the moved rows of every target: all targets start at the model's relation
             moved = np.stack([
                 np.ones(context.matrix.shape[0], dtype=bool)
@@ -554,8 +562,7 @@ class ForwardDynamicExtender:
             target_of = np.repeat(np.arange(len(contexts)), sizes)
             reuse = (
                 todo
-                & recorded[:, None]
-                & (pairs[slots] == wanted)
+                & found
                 & ~moved[target_of, rows][:, None]
                 & ~moved[target_of[:, None], np.append(trained_rows, 0)[anchors]]
             )
