@@ -13,8 +13,8 @@ into a query tier with an explicit consistency model:
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — an HTTP
   front end (:class:`EmbeddingServer`) and its matching
   :class:`ServeClient`, response-identical to the in-process backend;
-  :mod:`repro.serve.wire` is the framing and binary array encoding both
-  ends share.
+  :mod:`repro.serve.wire` is the HTTP framing and the answer frames
+  (JSON head, raw array bytes) both ends share.
 * :mod:`repro.serve.loadgen` — the load generator behind
   ``python -m repro bench load``: zipfian-skewed concurrent clients over
   both transports, pinned bit-identity verification while a writer churns,

@@ -6,7 +6,9 @@ generator (:mod:`repro.serve.loadgen`) both call it, so a query costs the
 same whichever transport carried it.  Every response is a JSON-safe dict
 that names the ``version`` that answered, the writer's ``head_version``
 and the resulting ``staleness`` (their difference), making the consistency
-model observable per query.
+model observable per query.  ``fetch`` and ``slice`` hand the HTTP edge
+their ``fact_ids``/``vectors`` as arrays when it asks (``arrays=True``),
+since it sends the arrays' bytes, not lists.
 
 Queries default to the router's latest committed version; passing
 ``version=`` reads a pinned/retained one instead (time travel).  ``pin``/
@@ -81,14 +83,25 @@ class LocalBackend:
 
     # ------------------------------------------------------------- queries
 
-    def fetch(self, fact_ids: list[int], version: int | None = None) -> dict:
-        """Batched fetch-by-fact-id; KeyError on unknown/deleted facts."""
+    def fetch(
+        self, fact_ids: list[int], version: int | None = None, *, arrays: bool = False
+    ) -> dict:
+        """Batched fetch-by-fact-id; KeyError on unknown/deleted facts.
+
+        ``arrays=True`` leaves ``fact_ids`` and ``vectors`` as the
+        snapshot's int64/float64 arrays (the HTTP edge sends their bytes).
+        """
         started = time.perf_counter()
         snapshot, head, staleness = self._resolve(version)
-        vectors = snapshot.fetch([int(fid) for fid in fact_ids])
+        ids = [int(fid) for fid in fact_ids]
+        vectors = snapshot.fetch(ids)
         response = self._meta(snapshot, head, staleness)
-        response["fact_ids"] = [int(fid) for fid in fact_ids]
-        response["vectors"] = vectors.tolist()
+        if arrays:
+            response["fact_ids"] = np.asarray(ids, dtype=np.int64)
+            response["vectors"] = vectors
+        else:
+            response["fact_ids"] = ids
+            response["vectors"] = vectors.tolist()
         self._c_queries.inc()
         self._h_fetch.observe(time.perf_counter() - started)
         return response
@@ -126,15 +139,19 @@ class LocalBackend:
         self._h_knn.observe(time.perf_counter() - started)
         return response
 
-    def slice(self, relation: str, version: int | None = None) -> dict:
-        """All live facts of one relation: ids and vectors."""
+    def slice(
+        self, relation: str, version: int | None = None, *, arrays: bool = False
+    ) -> dict:
+        """All live facts of one relation: ids and vectors (arrays as in :meth:`fetch`)."""
         started = time.perf_counter()
         snapshot, head, staleness = self._resolve(version)
         fact_ids, vectors = snapshot.relation_slice(relation)
         response = self._meta(snapshot, head, staleness)
         response["relation"] = relation
-        response["fact_ids"] = fact_ids.tolist()
-        response["vectors"] = vectors.tolist()
+        if arrays:
+            response["fact_ids"], response["vectors"] = fact_ids, vectors
+        else:
+            response["fact_ids"], response["vectors"] = fact_ids.tolist(), vectors.tolist()
         self._c_queries.inc()
         self._h_slice.observe(time.perf_counter() - started)
         return response

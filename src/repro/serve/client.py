@@ -9,10 +9,12 @@ owns one persistent ``TCP_NODELAY`` socket framed by
 not thread-safe.
 
 Results are exact by construction: ``fact_ids`` and ``vectors`` arrive as
-the little-endian bytes of the server's arrays, not as decimal text, so a
-pinned remote reader sees results bit-identical to a local reader of the
-same version (``-0.0``, infinities, NaN and subnormals included).  The
-remaining floats (kNN scores) are JSON, whose ``repr`` encoding also
+the raw little-endian bytes of the server's arrays after a one-line JSON
+head (:func:`~repro.serve.wire.decode_frame`), not as decimal text, and
+each becomes a list by one ``np.frombuffer(...).tolist()``.  A pinned
+remote reader therefore sees results bit-identical to a local reader of
+the same version (``-0.0``, infinities, NaN and subnormals included).
+The remaining floats (kNN scores) are JSON, whose ``repr`` encoding also
 round-trips IEEE-754 doubles.
 """
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 import socket
 
-from repro.serve.wire import Wire, decode_arrays
+from repro.serve.wire import Wire, decode_frame
 
 
 class ServeError(RuntimeError):
@@ -71,7 +73,7 @@ class ServeClient:
         except _Stale:
             # the server dropped the kept-alive connection: reconnect once
             status, data = self._exchange(message)
-        result = json.loads(data) if data else {}
+        result = decode_frame(data)
         if status >= 300:
             raise ServeError(status, str(result.get("error", result)))
         return result
@@ -140,7 +142,7 @@ class ServeClient:
         body: dict = {"fact_ids": [int(fid) for fid in fact_ids]}
         if version is not None:
             body["version"] = int(version)
-        return decode_arrays(self._request("POST", "/fetch", body))
+        return self._request("POST", "/fetch", body)
 
     def knn(
         self,
@@ -172,7 +174,7 @@ class ServeClient:
         body: dict = {"relation": relation}
         if version is not None:
             body["version"] = int(version)
-        return decode_arrays(self._request("POST", "/slice", body))
+        return self._request("POST", "/slice", body)
 
     # ------------------------------------------------------------- pinning
 

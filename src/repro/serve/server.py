@@ -2,14 +2,15 @@
 
 :class:`EmbeddingServer` accepts connections on a
 ``socketserver.ThreadingTCPServer`` and runs one keep-alive request loop
-per connection on its own handler thread, all of them readers against
+per connection on its own handler thread (at most :data:`MAX_CONNECTIONS`
+of them), all of them readers against
 immutable snapshots, so the GIL-released numpy kernels (kNN matrix
 product, fetch gathers) overlap across requests while a writer thread
 commits through the same store.  The HTTP/1.1 framing is the lean one in
 :mod:`repro.serve.wire`, shared with the client.
 
-Protocol (request bodies and responses are JSON; responses carry
-``version``/``head_version``/``staleness`` on every query):
+Protocol (request bodies are JSON, answers JSON or answer frames; answers
+carry ``version``/``head_version``/``staleness`` on every query):
 
 ====================  =====================================================
 ``GET /health``        liveness + head version
@@ -24,10 +25,14 @@ Protocol (request bodies and responses are JSON; responses carry
 ``POST /release``      ``{"version": v}`` — drop one lease
 ====================  =====================================================
 
-The ``fact_ids`` and ``vectors`` of ``/fetch`` and ``/slice`` answers are
-binary array fields, ``{"dtype": "<i8"|"<f8", "shape": [..], "b64": ..}``
-(see :mod:`repro.serve.wire`); :class:`~repro.serve.client.ServeClient`
-decodes them back to the backend's lists.
+``/fetch`` and ``/slice`` answers are frames (see :mod:`repro.serve.wire`):
+one JSON line in which ``fact_ids`` and ``vectors`` are ``{"dtype":
+"<i8"|"<f8", "shape": [..]}``, then ``\\n`` and the arrays' raw
+little-endian bytes, written from the backend's arrays with one
+``sendmsg`` (``LocalBackend.fetch/slice(..., arrays=True)``; no list is
+built).  :class:`~repro.serve.client.ServeClient` decodes them back to
+the backend's lists.  Every other answer, errors included, is plain
+JSON.
 
 Errors map to HTTP status: unknown fact/version → 404, malformed request
 → 400, a method other than GET/POST → 405, anything else → 500, always
@@ -41,9 +46,11 @@ malformed or negative (400) or above :data:`MAX_BODY_BYTES` (413), and any
 ``Transfer-Encoding`` (400), are refused before a byte of the body is read
 and the connection is closed.  A connection that has not delivered a whole
 request within :data:`IDLE_TIMEOUT_S` of accepting it or of the last
-answer is closed.  Each refusal counts as ``serve.rejects.{reason}`` on the
-backend's telemetry.  HTTP/1.0 peers, ``Connection: close`` and
-``Expect: 100-continue`` are honoured.
+answer is closed.  A connection accepted while :data:`MAX_CONNECTIONS` are
+live gets 503 with ``Retry-After`` and is closed, without a thread.  Each
+refusal counts as ``serve.rejects.{reason}`` on the backend's telemetry.
+HTTP/1.0 peers, ``Connection: close`` and ``Expect: 100-continue`` are
+honoured.
 
 Bind with ``port=0`` to let the OS pick a free port (tests do);
 ``server.port`` reports the bound one.
@@ -60,7 +67,7 @@ from email.utils import formatdate
 from http import HTTPStatus
 
 from repro.serve.backend import LocalBackend
-from repro.serve.wire import Refused, Wire, encode_arrays
+from repro.serve.wire import Refused, Wire, encode_frame
 
 MAX_BODY_BYTES = 1 << 20
 """Largest request body the server reads (1 MiB)."""
@@ -70,6 +77,9 @@ MAX_FETCH_IDS = 10_000
 
 IDLE_TIMEOUT_S = 60.0
 """Seconds a connection may take to deliver its next whole request."""
+
+MAX_CONNECTIONS = 64
+"""Most connections served at once, one handler thread each."""
 
 
 def _count_reject(backend: LocalBackend, reason: str) -> None:
@@ -186,7 +196,7 @@ def _route(backend: LocalBackend, method: str, path: str, body: bytes) -> tuple[
     request = _json_object(body)
     version = _optional_int(request, "version")
     if path == "/fetch":
-        result = encode_arrays(backend.fetch(_fact_ids(request), version=version))
+        result = backend.fetch(_fact_ids(request), version=version, arrays=True)
     elif path == "/knn":
         result = backend.knn(
             _query(request),
@@ -198,7 +208,7 @@ def _route(backend: LocalBackend, method: str, path: str, body: bytes) -> tuple[
         )
     elif path == "/slice":
         relation = _str(_required(request, "relation"), "relation")
-        result = encode_arrays(backend.slice(relation, version=version))
+        result = backend.slice(relation, version=version, arrays=True)
     elif path == "/pin":
         result = backend.pin(version)
     elif path == "/release":
@@ -208,11 +218,11 @@ def _route(backend: LocalBackend, method: str, path: str, body: bytes) -> tuple[
     return 200, result
 
 
-def _answer(backend: LocalBackend, method: str, path: str, body: bytes) -> tuple[int, bytes]:
-    """``(status, JSON body)`` answering one request; never raises."""
+def _answer(backend: LocalBackend, method: str, path: str, body: bytes) -> tuple[int, list]:
+    """``(status, body buffers)`` answering one request; never raises."""
     try:
         status, payload = _route(backend, method, path, body)
-        return status, _json_bytes(payload)
+        return status, encode_frame(payload)
     except Refused as exc:
         _count_reject(backend, exc.reason)
         status, error = exc.status, str(exc)
@@ -222,28 +232,37 @@ def _answer(backend: LocalBackend, method: str, path: str, body: bytes) -> tuple
         status, error = 400, str(exc)
     except Exception:
         status, error = 500, "internal error"
-    return status, _json_bytes({"error": error})
-
-
-def _json_bytes(payload: dict) -> bytes:
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return status, encode_frame({"error": error})
 
 
 # -------------------------------------------------------------- connection
 
 
-def _send(wire: Wire, status: int, body: bytes, connection: str) -> None:
+def _send(
+    sock: socket.socket, status: int, buffers: list, connection: str, extra: str = ""
+) -> None:
+    """Write one answer: its head, then ``buffers`` as :func:`encode_frame` gave them."""
     # reading left the timeout at what remained of the request's deadline;
     # a peer that does not read its answer gets the full idle time
-    wire.sock.settimeout(IDLE_TIMEOUT_S)
+    sock.settimeout(IDLE_TIMEOUT_S)
+    length = sum(len(b) for b in buffers)
+    kind = "application/json" if len(buffers) == 1 else "application/octet-stream"
     head = (
         f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
         f"Server: repro-serve\r\nDate: {formatdate(usegmt=True)}\r\n"
-        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+        f"Content-Type: {kind}\r\nContent-Length: {length}\r\n"
         + (f"Connection: {connection}\r\n" if connection else "")
+        + extra
         + "\r\n"
     )
-    wire.sock.sendall(head.encode("latin-1") + body)
+    # the JSON line is short: join it to the head, send the arrays in place
+    pending = [head.encode("latin-1") + buffers[0], *buffers[1:]]
+    while pending:
+        sent = sock.sendmsg(pending)
+        while pending and sent >= len(pending[0]):
+            sent -= len(pending.pop(0))
+        if sent:
+            pending[0] = memoryview(pending[0])[sent:]
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -277,7 +296,7 @@ class _Handler(socketserver.BaseRequestHandler):
         except Refused as exc:
             # an unread body would be parsed as the next request: close
             _count_reject(backend, exc.reason)
-            _send(wire, exc.status, _json_bytes({"error": str(exc)}), "close")
+            _send(wire.sock, exc.status, encode_frame({"error": str(exc)}), "close")
             return False
         except TimeoutError:
             _count_reject(backend, "timeout")
@@ -285,14 +304,54 @@ class _Handler(socketserver.BaseRequestHandler):
         except ConnectionError:
             return False
         status, answer = _answer(backend, method, path, body)
-        _send(wire, status, answer, connection)
+        _send(wire.sock, status, answer, connection)
         return connection != "close"
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
+    """Starts one handler thread per connection, at most :data:`MAX_CONNECTIONS` live."""
+
     allow_reuse_address = True
     daemon_threads = True
     backend: LocalBackend
+
+    def __init__(self, *args, **kwargs):
+        self._live = 0
+        self._live_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        # runs on the acceptor thread: refusing here starts no thread
+        with self._live_lock:
+            admitted = self._live < MAX_CONNECTIONS
+            self._live += admitted
+        if admitted:
+            try:
+                super().process_request(request, client_address)
+            except BaseException:
+                self._release()  # no thread started to release it
+                raise
+            return
+        _count_reject(self.backend, "saturated")
+        try:
+            # a few hundred bytes into a new socket's empty send buffer:
+            # this cannot block the acceptor
+            error = f"server saturated: {MAX_CONNECTIONS} connections live"
+            _send(request, 503, encode_frame({"error": error}), "close",
+                  "Retry-After: 1\r\n")
+        except OSError:
+            pass  # the peer is gone already
+        self.shutdown_request(request)
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        with self._live_lock:
+            self._live -= 1
 
 
 class EmbeddingServer:

@@ -1,14 +1,22 @@
-"""The serve tier's wire format: binary array fields and HTTP/1.1 framing.
+"""The serve tier's wire format: answer frames and HTTP/1.1 framing.
 
 Both ends of the serve tier, :mod:`repro.serve.server` and
 :mod:`repro.serve.client`, speak through this module.
 
-**Array fields.**  The ``fact_ids`` and ``vectors`` of ``/fetch`` and
-``/slice`` responses travel as ``{"dtype": "<i8"|"<f8", "shape": [...],
-"b64": "..."}``: base64 of the array's little-endian int64/float64 bytes.
-No float passes through decimal text, so the decoded lists equal what
-:class:`~repro.serve.backend.LocalBackend` returned bit for bit, ``-0.0``,
-infinities, NaN and subnormals included.  Every other field stays JSON.
+**Answer frames.**  An answer without an array field is its compact JSON
+object, nothing else.  The ``fact_ids`` and ``vectors`` of ``/fetch`` and
+``/slice`` answers are sent as raw bytes instead: the body is the JSON
+object on one line with each array field replaced by ``{"dtype":
+"<i8"|"<f8", "shape": [...]}``, then ``\\n``, then the little-endian
+int64/float64 bytes of each field in :data:`ARRAY_DTYPES` order.
+``Content-Length`` counts the whole body.  :func:`encode_frame` gives
+the body as buffers (the arrays are sent from their own memory) and
+:func:`decode_frame` turns it back into the lists
+:class:`~repro.serve.backend.LocalBackend` returns.  No float passes
+through decimal text, so the decoded lists equal the backend's bit for
+bit, ``-0.0``, infinities, NaN and subnormals included.  A frame whose
+shapes and byte count disagree raises ValueError; it never decodes to
+wrong data.
 
 **Framing.**  :class:`Wire` is one end of a connection: its socket and a
 read buffer.  :meth:`Wire.read_head` reads a start line, then header lines
@@ -22,8 +30,7 @@ up to the blank line; a line over :data:`MAX_LINE_BYTES` or more than
 
 from __future__ import annotations
 
-import base64
-import binascii
+import json
 import math
 import socket
 import time
@@ -37,7 +44,8 @@ MAX_HEADERS = 100
 #: Bytes asked of the socket per ``recv``.
 RECV_BYTES = 65536
 
-#: The binary array fields of a response and their little-endian dtypes.
+#: The array fields of an answer, in the order their bytes follow its head,
+#: and their little-endian dtypes.
 ARRAY_DTYPES = {"fact_ids": "<i8", "vectors": "<f8"}
 
 
@@ -50,52 +58,74 @@ class Refused(ValueError):
         self.reason = reason
 
 
-# ---------------------------------------------------------------- arrays
+# ---------------------------------------------------------------- frames
 
 
-def encode_arrays(payload: dict) -> dict:
-    """Pack ``payload``'s array fields as little-endian bytes, in place."""
-    for name, dtype in ARRAY_DTYPES.items():
-        if name in payload:
-            array = np.asarray(payload[name], dtype=dtype)
-            payload[name] = {
-                "dtype": dtype,
-                "shape": list(array.shape),
-                "b64": base64.b64encode(array.tobytes()).decode("ascii"),
-            }
-    return payload
+def encode_frame(payload: dict) -> list:
+    """``payload`` as the buffers of one answer body, in order.
 
-
-def decode_arrays(payload: dict) -> dict:
-    """Unpack ``payload``'s array fields back to nested lists, in place.
-
-    Raises ValueError for a field whose dtype, shape or byte count does not
-    match: a truncated or mis-shaped payload never decodes to wrong data.
+    Without an array field the body is the compact JSON of ``payload``
+    alone.  Otherwise each array field is replaced by ``{"dtype", "shape"}``
+    in a one-line JSON head, and ``\\n`` plus the raw bytes of each field, in
+    :data:`ARRAY_DTYPES` order, follow it.  The array buffers are views of
+    the arrays, not copies: send them as they are.
     """
+    head = dict(payload)
+    arrays = []
     for name, dtype in ARRAY_DTYPES.items():
         if name in payload:
-            payload[name] = decode_array(payload[name], dtype)
-    return payload
+            array = np.ascontiguousarray(payload[name], dtype=dtype)
+            head[name] = {"dtype": dtype, "shape": list(array.shape)}
+            arrays.append(array.reshape(-1).view(np.uint8))
+    # ensure_ascii: the head holds no raw newline, so the first one ends it
+    text = json.dumps(head, separators=(",", ":")).encode("ascii")
+    return [text + b"\n", *arrays] if arrays else [text]
 
 
-def decode_array(field: object, dtype: str) -> list:
-    """One encoded array field as the nested list ``ndarray.tolist`` gives."""
+def decode_frame(body: bytes) -> dict:
+    """An answer body back to the dict of lists ``LocalBackend`` returns.
+
+    Raises ValueError for any frame that does not parse exactly: a head
+    that is not a JSON object, an array field whose dtype or shape is
+    malformed, a missing ``\\n`` before the bytes, or too few or too many
+    bytes for the declared shapes.  A damaged frame never decodes to wrong
+    data, and a declared size is checked against the body before anything
+    is allocated for it.
+    """
+    newline = body.find(b"\n")
+    head = json.loads(body[:newline] if newline >= 0 else body or b"{}")
+    if not isinstance(head, dict):
+        raise ValueError("answer head is not a JSON object")
+    offset = newline + 1
+    for name, dtype in ARRAY_DTYPES.items():
+        if name not in head:
+            continue
+        if newline < 0:
+            raise ValueError("array answer without a newline after its head")
+        shape = _shape(head[name], dtype)
+        count = math.prod(shape)
+        size = count * np.dtype(dtype).itemsize
+        if size > len(body) - offset:
+            raise ValueError(
+                f"{name}: shape {shape} needs {size} bytes, "
+                f"{len(body) - offset} remain"
+            )
+        array = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
+        head[name] = array.reshape(shape).tolist()
+        offset += size
+    if newline >= 0 and offset != len(body):
+        raise ValueError(f"{len(body) - offset} bytes after the answer's arrays")
+    return head
+
+
+def _shape(field: object, dtype: str) -> list[int]:
+    """The checked shape of one array field of an answer head."""
     if not isinstance(field, dict) or field.get("dtype") != dtype:
         raise ValueError(f"array field is not a {dtype} array: {field!r:.80}")
-    shape, b64 = field.get("shape"), field.get("b64")
-    if not isinstance(shape, list) or not all(
-        type(n) is int and n >= 0 for n in shape
-    ):
+    shape = field.get("shape")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise ValueError(f"malformed array shape {shape!r:.80}")
-    if not isinstance(b64, str):
-        raise ValueError("array field carries no base64 text")
-    data = binascii.a2b_base64(b64, strict_mode=True)
-    expected = np.dtype(dtype).itemsize * math.prod(shape)
-    if len(data) != expected:
-        raise ValueError(
-            f"array field holds {len(data)} bytes, shape {shape} needs {expected}"
-        )
-    return np.frombuffer(data, dtype=dtype).reshape(shape).tolist()
+    return shape
 
 
 # --------------------------------------------------------------- framing

@@ -7,6 +7,7 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from repro.obs import Telemetry
 from repro.serve import EmbeddingServer, LocalBackend, ServeClient, ServeError
 from repro.serve import server as server_module
 from repro.serve.server import MAX_FETCH_IDS
+from repro.serve.wire import decode_frame, encode_frame
 
 
 def parse_responses(raw: bytes) -> list[tuple[int, dict, bytes]]:
@@ -125,7 +127,36 @@ class TestFraming:
             while chunk := sock.recv(65536):
                 raw += chunk
         [(status, _, answer)] = parse_responses(raw)
-        assert status == 200 and json.loads(answer)["vectors"]["shape"] == [1, 4]
+        assert status == 200
+        assert json.loads(answer.partition(b"\n")[0])["vectors"]["shape"] == [1, 4]
+        assert decode_frame(answer)["fact_ids"] == [served_store.test_movies[0].fact_id]
+
+    def test_large_answer_survives_partial_sends(self):
+        vectors = np.arange(400_000, dtype=np.float64).reshape(-1, 16)
+        sender, receiver = socket.socketpair()
+        # a small send buffer makes each sendmsg take only part of the body
+        sender.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+        def send():
+            server_module._send(sender, 200, encode_frame({"vectors": vectors}), "close")
+            sender.shutdown(socket.SHUT_WR)
+
+        writer = threading.Thread(target=send, daemon=True)
+        writer.start()
+        received = bytearray()
+        with sender, receiver:
+            receiver.settimeout(5)
+            # stop at EOF, or once far more than the answer has arrived
+            while len(received) < 2 * vectors.nbytes:
+                chunk = receiver.recv(65536)
+                if not chunk:
+                    break
+                received.extend(chunk)
+            writer.join(timeout=5)
+        assert not writer.is_alive()
+        [(status, _, answer)] = parse_responses(bytes(received))
+        assert status == 200
+        assert np.asarray(decode_frame(answer)["vectors"]).tobytes() == vectors.tobytes()
 
     def test_handler_exits_on_client_eof(self, server):
         baseline = threading.active_count()
@@ -199,6 +230,36 @@ class TestEdgeBounds:
             assert client.health()["ok"]
             assert wait_for_threads(baseline) == baseline  # the server hung up
             assert client.health()["ok"]  # stale connection: reconnected once
+
+    def test_connections_over_the_cap_get_503(self, router, telemetry, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 2)
+        baseline = threading.active_count()
+        with EmbeddingServer(LocalBackend(router, telemetry=telemetry)) as server:
+            # three idle connections, accepted in order: the third is refused
+            socks = [socket.create_connection((server.host, server.port), timeout=2)
+                     for _ in range(3)]
+            try:
+                raw = b""
+                while chunk := socks[2].recv(65536):
+                    raw += chunk
+                [(status, headers, _)] = parse_responses(raw)
+                assert status == 503 and headers["retry-after"] == "1"
+                assert headers["connection"] == "close"
+                for sock in socks[:2]:
+                    sock.settimeout(0.2)
+                    with pytest.raises(TimeoutError):
+                        sock.recv(1)  # admitted: waiting for a request
+                # two handlers and the acceptor
+                assert threading.active_count() <= baseline + 3
+            finally:
+                for sock in socks:
+                    sock.close()
+            assert rejects(telemetry) == {"saturated": 1}
+            # closing the admitted connections frees their slots
+            wait_for_threads(baseline + 1)
+            with ServeClient(server.host, server.port) as client:
+                assert client.health()["ok"]
+        assert wait_for_threads(baseline) == baseline
 
     def test_client_does_not_retry_a_partial_answer(self):
         accepted = []
