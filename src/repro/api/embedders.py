@@ -159,10 +159,10 @@ class ForwardEmbedding(Embedder):
 
     @property
     def supports_on_arrival(self) -> bool:
-        # a model restored from disk has no training-time distribution cache;
-        # one-by-one extension would silently fall back to the trained centroid
+        # a model restored from disk has no training-time attribute matrices,
+        # which the one-by-one setting reads its anchors from
         self._check_fitted()
-        return bool(self.model_.distributions)
+        return bool(self.model_.training_matrices)
 
     def is_trained(self, fact_id: int) -> bool:
         self._check_fitted()

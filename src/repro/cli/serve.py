@@ -81,7 +81,7 @@ def _check_servable(embedder, spec: str, policy: str) -> None:
     """Refuse an unservable method *before* the (possibly long) training run.
 
     ``supports_on_arrival`` may be undecidable pre-fit (FoRWaRD inspects its
-    fitted distribution cache); an undecidable answer counts as usable here
+    training-time attribute matrices); an undecidable answer counts as usable here
     — a freshly fitted model qualifies — and the service re-checks after
     fit anyway.
     """

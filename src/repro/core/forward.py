@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.base import TupleEmbedding
 from repro.core.config import ForwardConfig
@@ -27,7 +28,6 @@ from repro.engine import WalkEngine, sample_codes, sample_distinct_pairs
 from repro.kernels.base import Kernel
 from repro.kernels.registry import KernelRegistry, default_kernels
 from repro.utils.rng import ensure_rng
-from repro.walks.random_walks import AttributeDistribution
 from repro.walks.schemes import WalkScheme, walk_targets
 
 
@@ -60,10 +60,14 @@ class _TargetSamples:
 class ForwardModel:
     """A trained FoRWaRD embedding: ``φ``, ``ψ`` and the walk-target metadata.
 
-    Besides the learned parameters, the model keeps the per-fact destination
-    distributions computed on the training database.  The dynamic extension
-    reuses them in the one-by-one setting, where the paper explicitly does
-    not recompute walks starting at old tuples.
+    Besides the learned parameters, the model keeps each walk target's
+    training-time attribute matrix, row ``i`` the distribution of
+    ``d_{f_i,s}[A]`` for the fact of φ row ``i``, with its vocabulary.  The
+    dynamic extension reads its anchors' distributions from them in the
+    one-by-one setting, where the paper explicitly does not recompute walks
+    starting at old tuples.  They are not persisted
+    (:func:`~repro.core.persistence.save_forward_model`); a model without
+    them has ``training_matrices == ()``.
     """
 
     def __init__(
@@ -74,7 +78,7 @@ class ForwardModel:
         fact_ids: Sequence[int],
         phi: np.ndarray,
         psi: np.ndarray,
-        distributions: dict[tuple[int, int], AttributeDistribution | None],
+        training_matrices: Sequence[tuple[sparse.csr_matrix, np.ndarray]] = (),
         loss_history: Sequence[float] = (),
     ):
         self.relation = relation
@@ -84,7 +88,7 @@ class ForwardModel:
         self.fact_row = {fid: row for row, fid in enumerate(self.fact_ids)}
         self.phi = phi
         self.psi = psi
-        self.distributions = distributions
+        self.training_matrices = tuple(training_matrices)
         self.loss_history = list(loss_history)
         self._extended: dict[int, np.ndarray] = {}
 
@@ -112,10 +116,6 @@ class ForwardModel:
         for fact_id, vector in self._extended.items():
             result.set(fact_id, vector)
         return result
-
-    def distribution(self, fact_id: int, target_index: int) -> AttributeDistribution | None:
-        """Cached training-time destination distribution for (fact, target)."""
-        return self.distributions.get((fact_id, target_index))
 
     # ------------------------------------------------------------ extension
 
@@ -194,16 +194,17 @@ class ForwardEmbedder:
 
     def _prepare_training(
         self, facts: Sequence[Fact], targets: Sequence[WalkTarget]
-    ) -> tuple[dict[tuple[int, int], AttributeDistribution | None], list[_TargetSamples]]:
-        """Compute all attribute distributions and draw the training set.
+    ) -> tuple[list[tuple[sparse.csr_matrix, np.ndarray]], list[_TargetSamples]]:
+        """Compute all attribute matrices and draw the training set.
 
         For every target ``(s, A)`` the engine computes the distributions of
-        ``d_{f,s}[A]`` for *all* facts at once as one sparse matrix; the
-        stochastic samples of Section V-D — ``n_samples`` tuples
-        ``(f, f', g[A], g'[A])`` with ``f ≠ f'`` both having an existing
-        destination distribution — are then drawn in vectorised batches, with
-        ``κ(g[A], g'[A])`` as the stochastic estimate of the expected kernel
-        distance.
+        ``d_{f,s}[A]`` for *all* facts at once as one sparse matrix, whose
+        rows are aligned with ``facts`` (φ rows) and returned with its
+        vocabulary; the stochastic samples of Section V-D — ``n_samples``
+        tuples ``(f, f', g[A], g'[A])`` with ``f ≠ f'`` both having an
+        existing destination distribution — are then drawn in vectorised
+        batches, with ``κ(g[A], g'[A])`` as the stochastic estimate of the
+        expected kernel distance.
         """
         engine = self.engine
         engine.refresh()
@@ -211,27 +212,16 @@ class ForwardEmbedder:
         engine_rows = np.array(
             [compiled_rel.row_of[f.fact_id] for f in facts], dtype=np.int64
         )
-        distributions: dict[tuple[int, int], AttributeDistribution | None] = {}
+        matrices: list[tuple[sparse.csr_matrix, np.ndarray]] = []
         samples: list[_TargetSamples] = []
         for target in targets:
             matrix, vocab = engine.attribute_matrix(target.scheme, target.attribute)
             matrix = matrix[engine_rows]  # align matrix rows with ``facts``/φ rows
-            indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-            for row, fact in enumerate(facts):
-                lo, hi = indptr[row], indptr[row + 1]
-                if lo == hi:
-                    distributions[(fact.fact_id, target.index)] = None
-                else:
-                    distributions[(fact.fact_id, target.index)] = AttributeDistribution(
-                        target.scheme,
-                        target.attribute,
-                        tuple(vocab[indices[lo:hi]]),
-                        data[lo:hi].copy(),
-                    )
+            matrices.append((matrix, vocab))
             drawn = self._draw_target_samples(target, matrix, vocab)
             if drawn is not None:
                 samples.append(drawn)
-        return distributions, samples
+        return matrices, samples
 
     def _draw_target_samples(self, target: WalkTarget, matrix, vocab) -> _TargetSamples | None:
         """Vectorised draw of one target's ``(f, f', g[A], g'[A])`` samples."""
@@ -266,7 +256,7 @@ class ForwardEmbedder:
                 f"no walk targets found for relation {self.relation!r}: every "
                 "reachable attribute participates in a foreign key"
             )
-        distributions, samples = self._prepare_training(facts, targets)
+        matrices, samples = self._prepare_training(facts, targets)
         if not samples:
             raise ValueError(
                 f"no usable training samples for relation {self.relation!r}; "
@@ -295,7 +285,7 @@ class ForwardEmbedder:
             fact_ids,
             phi,
             psi,
-            distributions,
+            matrices,
             loss_history,
         )
 

@@ -12,14 +12,18 @@ minimum-norm least-squares solution (Equation (10)) is ``φ(f_new)``.
 The anchors ``f_old`` of a fact and walk target are a bottom-k sample keyed
 on (extension key, fact id, target index, candidate fact id) — see
 :func:`anchor_picks` — so they depend on nothing but the candidate set.
-Distributions are computed by the compiled walk engine.  The one-by-one
-path (:meth:`ForwardDynamicExtender.embed_fact`) queries a single fact's
-rows; the all-at-once batch (:meth:`ForwardDynamicExtender.extend_batch`,
-``recompute_old_paths``) slices every old and new fact's distribution for a
-walk target out of the engine's attribute matrix, and re-derives only the
-right-hand-side entries and solve operators whose inputs moved since the
-previous batch: the engine names the matrix rows that moved
-(:meth:`~repro.engine.WalkEngine.attribute_views`).
+
+Both of the paper's settings run one pipeline,
+:meth:`ForwardDynamicExtender.extend_batch`.  A new fact's distribution
+for a walk target is its row of the engine's current attribute matrix.  An
+anchor's is a row of the current matrix too in the all-at-once setting
+(``recompute_old_paths``), and a row of the model's training-time matrix
+(:attr:`ForwardModel.training_matrices`) in the one-by-one setting.  Only
+the right-hand-side entries and solve operators whose inputs moved since
+the previous batch are re-derived: the engine names the matrix rows that
+moved (:meth:`~repro.engine.WalkEngine.attribute_views`), and no row of a
+training-time matrix ever moves.  :meth:`ForwardDynamicExtender.embed_fact`
+is the serial oracle over the same rows.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from repro.engine.engine import row_entries
 from repro.kernels.base import Kernel
 from repro.utils.linalg import pseudo_inverse, solve_least_squares
 from repro.utils.rng import ensure_rng
-from repro.walks.random_walks import AttributeDistribution
 
 
 def anchor_key(rng: int | np.random.Generator | None) -> int:
@@ -92,20 +95,27 @@ KEY_SPAN = 1 << 40
 class _TargetContext:
     """One walk target's share of an extension batch.
 
-    ``matrix``/``vocab``: the target's attribute matrix and vocabulary;
-    ``moved``: the matrix rows that moved since the previous batch (a
-    boolean mask, None when every row may have), from
-    :meth:`WalkEngine.attribute_views`; ``candidates``: φ rows of the trained
-    facts alive and reaching the target, ascending; ``positions``: batch
-    positions of the facts reaching it.  Assembly records the picks'
-    ``key`` and the target's right-hand sides (``rhs``, one row per fact of
-    ``positions``).
+    ``matrix``/``vocab``: the target's current attribute matrix and
+    vocabulary, which the batch's facts are read from; ``moved``: the matrix
+    rows that moved since the previous batch (a boolean mask, None when
+    every row may have), from :meth:`WalkEngine.attribute_views`.  The
+    ``anchor_*`` fields are the side the anchors are read from (see
+    :meth:`ForwardDynamicExtender._anchor_side`): its matrix, vocabulary,
+    the row of every φ row in it (-1 once the fact is deleted) and its moved
+    rows.  ``candidates``: φ rows of the trained facts alive and reaching
+    the target on the anchor side, ascending; ``positions``: batch positions
+    of the facts reaching it.  Assembly records the picks' ``key`` and the
+    target's right-hand sides (``rhs``, one row per fact of ``positions``).
     """
 
     target: WalkTarget
     matrix: sparse.csr_matrix
     vocab: np.ndarray
     moved: np.ndarray | None
+    anchor_matrix: sparse.csr_matrix
+    anchor_vocab: np.ndarray
+    anchor_rows: np.ndarray
+    anchor_moved: np.ndarray | None
     candidates: np.ndarray
     positions: np.ndarray
     key: int = 0
@@ -115,28 +125,32 @@ class _TargetContext:
         self, fact_rows: np.ndarray, owners: np.ndarray, anchor_rows: np.ndarray
     ) -> np.ndarray:
         """``KD(d_anchor, d_fact)`` of every (``fact_rows[owners[j]]``,
-        ``anchor_rows[j]``) pair of matrix rows: ``Σ_u p_anchor(u)·S(fact, u)``
-        with ``S(fact, u) = Σ_v p_fact(v)·K(u, v)``, term by term —
+        ``anchor_rows[j]``) pair of rows of :attr:`matrix` and
+        :attr:`anchor_matrix`: ``Σ_u p_anchor(u)·S(fact, u)`` with
+        ``S(fact, u) = Σ_v p_fact(v)·K(u, v)``, term by term —
         O(Σ |anchor row| · |fact row|), never an anchors × facts matrix.
         Each sum runs over one row's entries in row order, so an entry's
         bits depend on its two rows alone.
         """
-        indptr, indices, data = self.matrix.indptr, self.matrix.indices, self.matrix.data
-        entries, lengths = row_entries(indptr, anchor_rows)
+        anchor, fact = self.anchor_matrix, self.matrix
+        entries, lengths = row_entries(anchor.indptr, anchor_rows)
         # every (anchor entry u, fact entry v) term, fact entries in row order
-        terms, spans = row_entries(indptr, np.repeat(fact_rows[owners], lengths))
+        terms, spans = row_entries(fact.indptr, np.repeat(fact_rows[owners], lengths))
         # the kernel only at the (anchor code, fact code) pairs that occur,
         # each evaluated once
         n_codes = self.vocab.size
         used, kernel_of = np.unique(
-            np.repeat(indices[entries], spans) * n_codes + indices[terms], return_inverse=True
+            np.repeat(anchor.indices[entries], spans) * n_codes + fact.indices[terms],
+            return_inverse=True,
         )
         kernel = self.target.kernel.elementwise(
-            self.vocab[used // n_codes], self.vocab[used % n_codes]
+            self.anchor_vocab[used // n_codes], self.vocab[used % n_codes]
         )
         # every row reaches the target: no segment is empty
-        similarity = np.add.reduceat(data[terms] * kernel[kernel_of], np.cumsum(spans) - spans)
-        return np.add.reduceat(data[entries] * similarity, np.cumsum(lengths) - lengths)
+        similarity = np.add.reduceat(
+            fact.data[terms] * kernel[kernel_of], np.cumsum(spans) - spans
+        )
+        return np.add.reduceat(anchor.data[entries] * similarity, np.cumsum(lengths) - lengths)
 
 
 class ForwardDynamicExtender:
@@ -151,10 +165,11 @@ class ForwardDynamicExtender:
         The *current* database, i.e. the training database with the new
         facts (and their referenced facts) already inserted.
     recompute_old_paths:
-        When true, destination distributions of *old* facts are recomputed on
+        When true, attribute distributions of *old* facts are recomputed on
         the current database (the paper's all-at-once setting); when false
-        the training-time distributions are reused (the one-by-one setting,
-        where recomputing for every arrival would be too slow).
+        they are rows of the model's training-time attribute matrices (the
+        one-by-one setting, where the paper does not recompute walks from
+        old facts).
     engine:
         An optional shared :class:`WalkEngine` compiled from ``db``; one is
         compiled lazily otherwise.  Call :meth:`notify_inserted` after
@@ -178,13 +193,6 @@ class ForwardDynamicExtender:
         if engine is not None and engine.db is not db:
             raise ValueError("engine is compiled from a different database")
         self._engine = engine
-        # target index -> (engine version, fact_id -> distribution or None):
-        # the serial path's recomputed old-fact distributions
-        self._old_cache: dict[
-            int, tuple[int, dict[int, AttributeDistribution | None]]
-        ] = {}
-        # target index -> training-time distributions (static, cached once)
-        self._trained_cache: dict[int, dict[int, AttributeDistribution | None]] = {}
         # the last extend_batch's per-target contexts, and per fact id
         # (targets reached, pseudo-inverse of its system)
         self._contexts: dict[int, _TargetContext] = {}
@@ -216,16 +224,19 @@ class ForwardDynamicExtender:
         """Embed every new fact of the model's relation; returns only the new vectors.
 
         Facts from other relations are ignored (FoRWaRD embeds the prediction
-        relation only); facts that already have an embedding are skipped.
-        The model is updated in place via :meth:`ForwardModel.add_extended`.
+        relation only); facts that already have an embedding are skipped,
+        and a fact given twice is embedded once.  One :meth:`extend_batch`
+        call embeds the rest, and the model is updated in place via
+        :meth:`ForwardModel.add_extended`.
         """
-        result = TupleEmbedding(self.model.dimension)
+        facts: dict[int, Fact] = {}
         for fact in new_facts:
-            if fact.relation != self.model.relation or self.model.has_fact(fact):
-                continue
-            vector = self.embed_fact(fact)
-            self.model.add_extended(fact, vector)
-            result.set(fact, vector)
+            if fact.relation == self.model.relation and not self.model.has_fact(fact):
+                facts.setdefault(fact.fact_id, fact)
+        result = TupleEmbedding(self.model.dimension)
+        for fact_id, vector in self.extend_batch(list(facts.values())).items():
+            self.model.add_extended(fact_id, vector)
+            result.set(facts[fact_id], vector)
         return result
 
     def notify_inserted(self, facts: Iterable[Fact]) -> None:
@@ -233,9 +244,8 @@ class ForwardDynamicExtender:
 
         Call this between insertion steps so that distributions of *new*
         facts always see the current database.  The append is incremental —
-        no arrays are recompiled — and version-keyed caches (including the
-        recomputed old-fact distributions of the all-at-once setting)
-        invalidate automatically.
+        no arrays are recompiled — and the engine's matrices re-derive the
+        rows it moves.
         """
         self.engine.add_facts(facts)
 
@@ -244,7 +254,7 @@ class ForwardDynamicExtender:
 
         Deleted facts of the model's relation also lose their dynamically
         extended embedding (trained rows of ``φ`` are frozen and simply
-        stop being candidates — their recomputed distributions are None).
+        stop being anchor candidates).
         """
         facts = list(facts)
         self.engine.remove_facts(facts)
@@ -270,73 +280,72 @@ class ForwardDynamicExtender:
 
     # ------------------------------------------------------------ internals
 
-    def _old_distributions(self, target: WalkTarget) -> dict[int, AttributeDistribution | None]:
-        """Training-time (or recomputed) distributions of all old facts."""
-        if not self.recompute_old_paths:
-            cached = self._trained_cache.get(target.index)
-            if cached is None:
-                cached = {
-                    fact_id: self.model.distribution(fact_id, target.index)
-                    for fact_id in self.model.fact_ids
-                }
-                self._trained_cache[target.index] = cached
-            return cached
-        engine = self.engine
-        cached = self._old_cache.get(target.index)
-        if cached is not None and cached[0] == engine.version:
-            return cached[1]
-        matrix, vocab = engine.attribute_matrix(target.scheme, target.attribute)
-        compiled_rel = engine.compiled.relations[self.model.relation]
-        indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-        result: dict[int, AttributeDistribution | None] = {}
-        for fact_id in self.model.fact_ids:
-            row = compiled_rel.row_of.get(fact_id)
-            if row is None:  # a trained fact deleted from the database
-                result[fact_id] = None
-                continue
-            lo, hi = indptr[row], indptr[row + 1]
-            if lo == hi:
-                result[fact_id] = None
-            else:
-                result[fact_id] = AttributeDistribution(
-                    target.scheme,
-                    target.attribute,
-                    tuple(vocab[indices[lo:hi]]),
-                    data[lo:hi].copy(),
-                )
-        self._old_cache[target.index] = (engine.version, result)
-        return result
+    def _anchor_side(
+        self,
+        target: WalkTarget,
+        matrix: sparse.csr_matrix,
+        vocab: np.ndarray,
+        moved: np.ndarray | None,
+        trained_rows: np.ndarray,
+    ) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray, np.ndarray | None]:
+        """Where a target's anchor distributions are read from: ``(matrix,
+        vocabulary, row of every φ row, moved rows)``.
+
+        In the all-at-once setting that is the current ``matrix`` with its
+        ``moved`` rows, at the compiled rows ``trained_rows`` (-1 once
+        deleted).  In the one-by-one setting it is the model's training-time
+        matrix, at the φ rows of the facts still alive, and no row moves.
+        """
+        if self.recompute_old_paths:
+            return matrix, vocab, trained_rows, moved
+        if not self.model.training_matrices:
+            raise ValueError(
+                "the one-by-one setting reads the model's training-time attribute "
+                "matrices, which are not persisted; extend a model loaded from disk "
+                "with recompute_old_paths=True"
+            )
+        frozen, frozen_vocab = self.model.training_matrices[target.index]
+        rows = np.where(trained_rows >= 0, np.arange(trained_rows.size), -1)
+        return frozen, frozen_vocab, rows, np.zeros(frozen.shape[0], dtype=bool)
+
+    def _trained_rows(self) -> np.ndarray:
+        """The compiled row of every trained fact, in φ row order; -1 once deleted."""
+        row_of = self.engine.compiled.relations[self.model.relation].row_of
+        return np.fromiter(
+            (row_of.get(fact_id, -1) for fact_id in self.model.fact_ids),
+            dtype=np.intp,
+            count=len(self.model.fact_ids),
+        )
 
     def embed_fact(self, fact: Fact) -> np.ndarray:
-        """Compute ``φ(f_new)`` for one new fact (does not modify the model)."""
+        """Compute ``φ(f_new)`` for one new fact (does not modify the model).
+
+        The serial oracle of :meth:`extend_batch`, in both settings: per walk
+        target the fact's distribution is its row of the current attribute
+        matrix and each anchor's is its row on the anchor side
+        (:meth:`_anchor_side`); the expected kernels come from
+        :func:`_expected_kernels` and the system is solved by least squares.
+        """
         engine = self.engine
         if not engine.compiled.has_fact(fact) or engine.compiled.num_facts != len(self.db):
             # insertions the caller did not pass to notify_inserted; catch up
             engine.refresh()
+        row = engine.compiled.relations[self.model.relation].row_of[fact.fact_id]
+        trained_rows = self._trained_rows()
+        fact_ids = np.asarray(self.model.fact_ids, dtype=np.int64)
         rows: list[np.ndarray] = []
         rhs: list[np.ndarray] = []
-        fact_ids = self.model.fact_ids
-        targets = self.model.targets
-        new_dists = engine.attribute_distributions(
-            fact, [(target.scheme, target.attribute) for target in targets]
-        )
-        for target, new_dist in zip(targets, new_dists):
+        for target in self.model.targets:
+            matrix, vocab = engine.attribute_matrix(target.scheme, target.attribute)
+            new_dist = _distribution(matrix, vocab, row)
             if new_dist is None:
                 continue
-            old_dists = self._old_distributions(target)
-            # deleted trained facts stop being regression anchors: in the
-            # recompute setting their distribution is already None; the
-            # one-by-one setting caches training-time distributions, so the
-            # existence check is what drops them there
-            candidates = np.array(
-                [
-                    row
-                    for row, fid in enumerate(fact_ids)
-                    if old_dists[fid] is not None
-                    and fid in self.db._facts_by_id  # noqa: SLF001 - cheap membership
-                ],
-                dtype=np.intp,
+            anchor, anchor_vocab, anchor_rows, _moved = self._anchor_side(
+                target, matrix, vocab, None, trained_rows
             )
+            # deleted trained facts and those with no distribution are no anchors
+            reaching = np.diff(anchor.indptr) > 0
+            candidates = np.flatnonzero((anchor_rows >= 0) & reaching[anchor_rows])
             if not candidates.size:
                 continue
             picked = candidates[
@@ -344,15 +353,12 @@ class ForwardDynamicExtender:
                     self.key,
                     [fact.fact_id],
                     target.index,
-                    np.asarray(fact_ids)[candidates],
+                    fact_ids[candidates],
                     self.model.config.n_new_samples,
                 )[0]
             ]
-            rhs.append(
-                _expected_kernels(
-                    target.kernel, [old_dists[fact_ids[row]] for row in picked], new_dist
-                )
-            )
+            old_dists = [_distribution(anchor, anchor_vocab, anchor_rows[p]) for p in picked]
+            rhs.append(_expected_kernels(target.kernel, old_dists, new_dist))
             rows.append(self.projections[target.index][picked])
         if not rows:
             # A fact with no completable walk to any kernelized attribute gives
@@ -364,21 +370,23 @@ class ForwardDynamicExtender:
     def extend_batch(self, facts: Sequence[Fact]) -> dict[int, np.ndarray]:
         """Embed many new facts through one fused batched pipeline.
 
-        The all-at-once setting only (``recompute_old_paths``).  Semantically
-        identical to calling :meth:`embed_fact` on every fact — both take each
-        fact's anchors from :func:`anchor_picks` under :attr:`key` — but each
-        walk target's old and new distributions are rows of one attribute
-        matrix and its right-hand sides are computed in one pass that
-        evaluates the kernel only where it is used (see
-        :meth:`_TargetContext.kd_entries`).  No per-fact engine query,
-        distribution object or BFS is made.  Returns ``fact_id -> φ(f_new)``;
-        the model is not modified.
+        Both settings: the anchors' distributions are rows of the current
+        attribute matrices under ``recompute_old_paths`` and of the model's
+        training-time matrices otherwise (:meth:`_anchor_side`).
+        Semantically identical to calling :meth:`embed_fact` on every fact —
+        both take each fact's anchors from :func:`anchor_picks` under
+        :attr:`key` — but each walk target's right-hand sides are computed
+        from matrix rows in one pass that evaluates the kernel only where it
+        is used (see :meth:`_TargetContext.kd_entries`).  No per-fact engine
+        query, distribution object or BFS is made.  Returns
+        ``fact_id -> φ(f_new)``; the model is not modified.
 
         Only what moved since the previous call is re-derived.  Per walk
         target the engine hands over, with the matrix, the rows that moved
         since the journal position the previous call read
         (:meth:`~repro.engine.WalkEngine.attribute_views`); every other row
-        holds the same entries in the same order, by value.  A fact keeps
+        holds the same entries in the same order, by value, and no row of a
+        training-time matrix moves.  A fact keeps
         its recorded picks while the key and the candidate set are
         unchanged, and a right-hand-side entry ``KD(d_anchor, d_fact)`` is
         recomputed only when the fact's row or the anchor's row moved, or
@@ -396,11 +404,6 @@ class ForwardDynamicExtender:
         ``core.extend.rhs.{computed,reused}`` and
         ``core.extend.systems.{factored,reused}``.
         """
-        if not self.recompute_old_paths:
-            raise ValueError(
-                "extend_batch embeds against recomputed old-fact distributions; "
-                "construct the extender with recompute_old_paths=True"
-            )
         facts = list(facts)
         if not facts:
             return {}
@@ -420,17 +423,11 @@ class ForwardDynamicExtender:
             new_rows = np.fromiter(
                 (row_of[fact.fact_id] for fact in facts), dtype=np.intp, count=len(facts)
             )
-            # compiled row of every trained fact (φ row order); -1 once deleted
-            trained_rows = np.fromiter(
-                (row_of.get(fact_id, -1) for fact_id in self.model.fact_ids),
-                dtype=np.intp,
-                count=trained_ids.size,
-            )
             position = compiled.position
-            contexts = self._batch_contexts(new_rows, trained_rows, self._position)
+            contexts = self._batch_contexts(new_rows, self._trained_rows(), self._position)
         with telemetry.stage("service.embed.assemble"):
             positions, t_index, anchors, rhs, repicked, computed = self._assemble(
-                contexts, fact_ids, new_rows, trained_ids, trained_rows
+                contexts, fact_ids, new_rows, trained_ids
             )
             valid = anchors < trained_ids.size
             metrics.counter("core.extend.rhs.computed").inc(computed)
@@ -483,7 +480,6 @@ class ForwardDynamicExtender:
         fact_ids: np.ndarray,
         new_rows: np.ndarray,
         trained_ids: np.ndarray,
-        trained_rows: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
         """Every target's anchors and right-hand sides, one record per
         (target, fact reaching it), target after target.
@@ -553,10 +549,14 @@ class ForwardDynamicExtender:
                 wanted = pos[redrawn, None] * (pad + 1) + anchors[redrawn]
                 at = np.minimum(np.searchsorted(pairs, wanted), pairs.size - 1)
                 slots[redrawn], found[redrawn] = at, pairs[at] == wanted
-            # the moved rows of every target: all targets start at the model's relation
-            moved = np.stack([
-                np.ones(context.matrix.shape[0], dtype=bool)
-                if context.moved is None else context.moved
+            # the moved rows of every target: all targets start at the
+            # model's relation; an anchor's are looked up by φ row
+            moved = np.stack([_mask(context.moved, context.matrix) for context in contexts])
+            anchor_moved = np.stack([
+                np.append(
+                    _mask(context.anchor_moved, context.anchor_matrix)[context.anchor_rows],
+                    False,
+                )
                 for context in contexts
             ])
             target_of = np.repeat(np.arange(len(contexts)), sizes)
@@ -564,7 +564,7 @@ class ForwardDynamicExtender:
                 todo
                 & found
                 & ~moved[target_of, rows][:, None]
-                & ~moved[target_of[:, None], np.append(trained_rows, 0)[anchors]]
+                & ~anchor_moved[target_of[:, None], anchors]
             )
             rhs[reuse] = old_rhs.ravel()[slots[reuse]]
             todo &= ~reuse
@@ -575,7 +575,7 @@ class ForwardDynamicExtender:
                 rhs[lo:hi][block] = context.kd_entries(
                     rows[lo + pending],
                     np.repeat(np.arange(pending.size), block[pending].sum(axis=1)),
-                    trained_rows[anchors[lo:hi][block]],
+                    context.anchor_rows[anchors[lo:hi][block]],
                 )
             context.rhs = rhs[lo:hi, : min(count, context.candidates.size)]
         order = np.argsort(keys)
@@ -592,29 +592,47 @@ class ForwardDynamicExtender:
         fact survives as its anchor: :meth:`embed_fact` would skip it for
         every fact.
         """
-        alive = np.flatnonzero(trained_rows >= 0)
         contexts: list[_TargetContext] = []
         targets = self.model.targets
         views = self.engine.attribute_views(
             [(target.scheme, target.attribute) for target in targets], since
         )
         for target, (matrix, vocab, moved) in zip(targets, views):
-            indptr = matrix.indptr
+            anchor = self._anchor_side(target, matrix, vocab, moved, trained_rows)
+            anchor_indptr, anchor_rows = anchor[0].indptr, anchor[2]
+            alive = np.flatnonzero(anchor_rows >= 0)
             candidates = alive[
-                indptr[trained_rows[alive] + 1] > indptr[trained_rows[alive]]
+                anchor_indptr[anchor_rows[alive] + 1] > anchor_indptr[anchor_rows[alive]]
             ]
-            positions = np.flatnonzero(indptr[new_rows + 1] > indptr[new_rows])
+            positions = np.flatnonzero(matrix.indptr[new_rows + 1] > matrix.indptr[new_rows])
             if candidates.size and positions.size:
                 contexts.append(
-                    _TargetContext(target, matrix, vocab, moved, candidates, positions)
+                    _TargetContext(target, matrix, vocab, moved, *anchor, candidates, positions)
                 )
         return contexts
 
 
+def _mask(moved: np.ndarray | None, matrix: sparse.csr_matrix) -> np.ndarray:
+    """A moved-rows mask over ``matrix``'s rows; None means every row."""
+    return np.ones(matrix.shape[0], dtype=bool) if moved is None else moved
+
+
+#: One attribute distribution: ``(values, probabilities)``.
+Distribution = tuple[np.ndarray, np.ndarray]
+
+
+def _distribution(matrix: sparse.csr_matrix, vocab: np.ndarray, row: int) -> Distribution | None:
+    """Row ``row`` of an attribute matrix as values and probabilities; None if empty."""
+    lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+    if lo == hi:
+        return None
+    return vocab[matrix.indices[lo:hi]], matrix.data[lo:hi]
+
+
 def _expected_kernels(
     kernel: Kernel,
-    old_dists: Sequence[AttributeDistribution],
-    new_dist: AttributeDistribution,
+    old_dists: Sequence[Distribution],
+    new_dist: Distribution,
 ) -> np.ndarray:
     """``KD(d_old, d_new)`` for many old distributions against one new one.
 
@@ -624,17 +642,15 @@ def _expected_kernels(
     the cost is ``|union| · |new|`` instead of ``Σ_i |old_i| · |new|``.
     """
     index: dict[Any, int] = {}
-    for dist in old_dists:
-        for value in dist.values:
+    for values, _probabilities in old_dists:
+        for value in values:
             if value not in index:
                 index[value] = len(index)
     union = list(index)
-    new_probs = np.asarray(new_dist.probabilities, dtype=np.float64)
-    similarity_to_new = kernel.cross_matrix(union, list(new_dist.values)) @ new_probs
+    new_values, new_probs = new_dist
+    similarity_to_new = kernel.cross_matrix(union, list(new_values)) @ new_probs
     out = np.empty(len(old_dists), dtype=np.float64)
-    for i, dist in enumerate(old_dists):
-        positions = [index[value] for value in dist.values]
-        out[i] = float(
-            np.asarray(dist.probabilities, dtype=np.float64) @ similarity_to_new[positions]
-        )
+    for i, (values, probabilities) in enumerate(old_dists):
+        positions = [index[value] for value in values]
+        out[i] = float(probabilities @ similarity_to_new[positions])
     return out

@@ -96,10 +96,9 @@ def save_forward_model(model: ForwardModel, directory: str | Path) -> None:
     the Gaussian bandwidth fitted to the training data), so
     :func:`load_forward_model` reconstructs identical kernels instead of
     refitting them to whatever data the post-restart database happens to
-    hold.  The walk-target destination-distribution cache is *not* persisted
-    (it is a function of the training database and can be recomputed); a
-    model loaded from disk therefore extends new tuples with
-    ``recompute_old_paths=True``.
+    hold.  The training-time attribute matrices are *not* persisted (they
+    are a function of the training database); a model loaded from disk
+    therefore extends new tuples with ``recompute_old_paths=True``.
     """
     import warnings
 
@@ -200,7 +199,6 @@ def load_forward_model(directory: str | Path, db) -> ForwardModel:
         [int(fid) for fid in arrays["fact_ids"]],
         arrays["phi"],
         arrays["psi"],
-        distributions={},
         loss_history=metadata["loss_history"],
     )
     for fact_id, vector in zip(arrays["extended_ids"], arrays["extended_vectors"]):

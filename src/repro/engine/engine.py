@@ -33,25 +33,16 @@ re-derived rows equal the full build's bit for bit; the full build runs
 only for a first request and after the rows were renumbered (compaction).
 :meth:`WalkEngine.attribute_views` hands a consumer the matrices together
 with the rows that moved since the journal position it last read, so the
-all-at-once extension re-derives its entries only for those rows.
-
-Single-fact queries (the one-by-one extension path) slice a row of a
-current attribute or mass matrix when one exists; otherwise they run an
-index-backed BFS (O(walk support), so one-by-one dynamic insertion stays
-O(walk) instead of O(database)).  The multi-query calls
-(:meth:`WalkEngine.attribute_rows`,
-:meth:`WalkEngine.attribute_distributions`) compute one destination row per
-distinct scheme, however many of its attributes they read.  Through
-:meth:`WalkEngine.destination_row`, a second *distinct* fact querying the
-same scheme promotes to the batched mass matrix; :meth:`WalkEngine.attribute_rows`
-never promotes.
+dynamic extension re-derives its entries only for those rows.  A single
+fact's distribution is its row of these matrices; the engine has no
+per-fact query path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -60,10 +51,6 @@ from repro.db.database import Database, Fact
 from repro.engine.compiled import CompiledDatabase, RowDelta
 from repro.obs import ENGINE_CACHE_KINDS, NULL_TELEMETRY, Telemetry
 from repro.walks.schemes import Direction, WalkScheme, WalkStep
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (walks -> engine)
-    from repro.walks.random_walks import AttributeDistribution, DestinationDistribution
-
 
 def _normalize_rows(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
     """Divide every non-empty row by its sum; empty rows stay empty."""
@@ -209,11 +196,6 @@ class WalkEngine:
         self._marks_position = -1
         self._deltas: dict[int, RowDelta | None] = {}
         self._marks: dict[tuple, np.ndarray | None] = {}
-        # the first fact to query each scheme through destination_row at the
-        # current version — a *different* fact querying the same scheme
-        # promotes to the full batched mass matrix
-        self._row_queries: dict[WalkScheme, int] = {}
-        self._row_queries_version = self.compiled.version
 
     def set_telemetry(self, telemetry: Telemetry | None) -> None:
         """Attach (or detach, with None) a telemetry bundle.
@@ -389,171 +371,28 @@ class WalkEngine:
         self._mass_cache[scheme] = (signature, mass)
         return mass
 
-    @staticmethod
-    def _check_start(fact: Fact, scheme: WalkScheme) -> None:
-        if fact.relation != scheme.start_relation:
-            raise ValueError(
-                f"fact is from relation {fact.relation!r} but scheme starts at "
-                f"{scheme.start_relation!r}"
-            )
-
-    def destination_row(self, fact: Fact, scheme: WalkScheme) -> tuple[np.ndarray, np.ndarray]:
-        """``(end-relation rows, probabilities)`` of ``d_{f,s}``; empty if none.
-
-        A single fact never pays for whole-relation matrices up front: as
-        long as only one fact queries a scheme at the current compiled
-        version, its distribution comes from an index-backed BFS — O(walk
-        support), exactly like the reference — so a one-by-one insertion
-        stream stays cheap even though every arrival bumps the version.  As
-        soon as a *second* fact queries the same scheme, the full batched
-        matrix is built once and amortised.
-        """
-        self._check_start(fact, scheme)
-        return self._single_row(fact, scheme, promote=True)
-
-    def _single_row(
-        self, fact: Fact, scheme: WalkScheme, *, promote: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One fact's destination row: a slice of a current matrix, else a BFS.
-
-        With ``promote`` (:meth:`destination_row`), a second distinct fact
-        querying ``scheme`` at the current version builds the batched mass
-        matrix instead.  The fused pipeline (:meth:`attribute_rows`) never promotes:
-        a streaming arrival queries every walk target exactly once, so
-        building a whole-relation matrix per batch would cost far more than
-        the O(walk support) propagation it replaces.
-        """
-        if fact.fact_id not in self.compiled.relations[scheme.start_relation].row_of:
-            # the fact was inserted without add_facts/refresh; catch up
-            self.refresh()
-        hit = self._mass_cache.get(scheme)
-        if hit is not None and hit[0] == self._scheme_signature(scheme):
-            self._cache_hits["mass"].inc()
-            mass = hit[1]
-        else:
-            if self._row_queries_version != self.version:
-                self._row_queries.clear()
-                self._row_queries_version = self.version
-            if not promote or (
-                self._row_queries.setdefault(scheme, fact.fact_id) == fact.fact_id
-            ):
-                return self._bfs_row(fact, scheme)
-            mass = self._mass_matrix(scheme)
-        # the row of destination_matrix: the mass row, normalised on its own
-        row = self.compiled.relations[scheme.start_relation].row_of[fact.fact_id]
-        lo, hi = mass.indptr[row], mass.indptr[row + 1]
-        data = mass.data[lo:hi]
-        nonzero = data != 0
-        data = data[nonzero]
-        return (
-            mass.indices[lo:hi][nonzero].astype(np.int64),
-            _normalized(np.array([0, data.size]), data),
-        )
-
     def attribute_rows(
         self, fact: Fact, queries: Sequence[tuple[WalkScheme, str]]
     ) -> list[tuple[np.ndarray, np.ndarray] | None]:
-        """``(values, probabilities)`` per (scheme, attribute) query for one fact.
-
-        One destination propagation per *distinct* scheme — never promoted
-        to a whole-relation matrix.  Entries are None where the distribution does
-        not exist, exactly like :meth:`attribute_row`.  The extension paths
-        do not call it (the batch slices :meth:`attribute_matrix`, the
-        serial path uses :meth:`attribute_distributions`); it is kept
+        """``(values, probabilities)`` per (scheme, attribute) query for one
+        fact: its rows of :meth:`attribute_matrix`, None where the
+        distribution does not exist.  No extension path calls it; it is kept
         because ``perfbench/tracing.py`` installs a span on it.
         """
-        return self._attribute_rows(fact, queries, batched=False)
-
-    def _attribute_rows(
-        self,
-        fact: Fact,
-        queries: Sequence[tuple[WalkScheme, str]],
-        *,
-        batched: bool,
-    ) -> list[tuple[np.ndarray, np.ndarray] | None]:
-        """One fact's attribute rows, one destination row per distinct scheme.
-
-        ``batched`` (the :meth:`attribute_row` family) prefers the batched
-        matrices: a current attribute matrix is sliced, and a second distinct
-        querier promotes the scheme to its mass matrix.  Without it
-        (:meth:`attribute_rows`) every row is aggregated from a single-fact
-        destination row that never promotes.
-        """
         results: list[tuple[np.ndarray, np.ndarray] | None] = []
-        destinations: dict[WalkScheme, tuple[np.ndarray, np.ndarray]] = {}
         for scheme, attribute in queries:
-            self._check_start(fact, scheme)
-            if batched:
-                kept = self._kept.get(scheme)
-                row_of = self.compiled.relations[scheme.start_relation].row_of
-                row = row_of.get(fact.fact_id)
-                # an unknown fact falls through to the row path, which self-syncs
-                if (
-                    row is not None
-                    and kept is not None
-                    and kept.position == self.compiled.position
-                    and attribute in kept.matrices
-                ):
-                    matrix, vocab = kept.matrices[attribute]
-                    lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
-                    results.append(
-                        (vocab[matrix.indices[lo:hi]], matrix.data[lo:hi].copy())
-                        if lo < hi
-                        else None
-                    )
-                    continue
-            pair = destinations.get(scheme)
-            if pair is None:
-                pair = self._single_row(fact, scheme, promote=batched)
-                destinations[scheme] = pair
-            results.append(self._attribute_values(scheme, attribute, *pair))
+            if fact.relation != scheme.start_relation:
+                raise ValueError(
+                    f"fact is from relation {fact.relation!r} but scheme starts at "
+                    f"{scheme.start_relation!r}"
+                )
+            matrix, vocab = self.attribute_matrix(scheme, attribute)
+            row = self.compiled.relations[scheme.start_relation].row_of[fact.fact_id]
+            lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+            results.append(
+                (vocab[matrix.indices[lo:hi]], matrix.data[lo:hi].copy()) if lo < hi else None
+            )
         return results
-
-    def _attribute_values(
-        self,
-        scheme: WalkScheme,
-        attribute: str,
-        rows: np.ndarray,
-        probabilities: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Aggregate one destination row's mass over the non-⊥ values of ``A``."""
-        if rows.size == 0:
-            return None
-        column = self.compiled.relations[scheme.end_relation].columns[attribute]
-        row_codes = np.fromiter(map(column.codes.__getitem__, rows.tolist()), np.int64, rows.size)
-        non_null = row_codes >= 0
-        if not np.any(non_null):
-            return None
-        # aggregate over the walk support, not the whole vocabulary: the
-        # support is a handful of codes while vocabularies can be huge
-        used, inverse = np.unique(row_codes[non_null], return_inverse=True)
-        mass = np.bincount(inverse, weights=probabilities[non_null])
-        keep = mass > 0
-        probs = mass[keep]
-        values = np.empty(int(keep.sum()), dtype=object)
-        values[:] = [column.vocab[code] for code in used[keep].tolist()]
-        return values, probs / probs.sum()
-
-    def _bfs_row(self, fact: Fact, scheme: WalkScheme) -> tuple[np.ndarray, np.ndarray]:
-        """Single-source propagation through the database's own FK indexes."""
-        from repro.walks.random_walks import destination_distribution
-
-        distribution = destination_distribution(self.db, fact, scheme)
-        if distribution.is_empty:
-            return np.zeros(0, dtype=np.int64), np.zeros(0)
-        end_rel = self.compiled.relations[scheme.end_relation]
-        try:
-            rows = np.array(
-                [end_rel.row_of[f.fact_id] for f in distribution.facts], dtype=np.int64
-            )
-        except KeyError:
-            # destinations include facts the compiled arrays have not seen yet
-            self.refresh()
-            end_rel = self.compiled.relations[scheme.end_relation]
-            rows = np.array(
-                [end_rel.row_of[f.fact_id] for f in distribution.facts], dtype=np.int64
-            )
-        return rows, np.asarray(distribution.probabilities, dtype=np.float64)
 
     def _column(self, relation: str, attribute: str) -> tuple[sparse.csr_matrix, np.ndarray]:
         """(one-hot indicator over non-⊥ codes, vocabulary) of a column.
@@ -813,48 +652,3 @@ class WalkEngine:
             for step in scheme.steps[1:]:
                 block = _times(block, self.step_matrix(step))
         return block[0], block[1], _normalized(block[0], block[2])
-
-    def attribute_row(
-        self, fact: Fact, scheme: WalkScheme, attribute: str
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(values, probabilities)`` of ``d_{f,s}[A]``, or None if absent."""
-        return self._attribute_rows(fact, [(scheme, attribute)], batched=True)[0]
-
-    # ------------------------------------------- reference-compatible views
-
-    def destination_distribution(self, fact: Fact, scheme: WalkScheme) -> "DestinationDistribution":
-        """The exact ``W(f, s)`` as a reference-compatible dataclass."""
-        from repro.walks.random_walks import DestinationDistribution
-
-        rows, probabilities = self.destination_row(fact, scheme)
-        if rows.size == 0:
-            return DestinationDistribution(scheme, (), np.zeros(0))
-        end_ids = self.compiled.relations[scheme.end_relation].fact_ids
-        facts = tuple(self.db.fact(end_ids[row]) for row in rows)
-        return DestinationDistribution(scheme, facts, probabilities)
-
-    def attribute_distribution(
-        self, fact: Fact, scheme: WalkScheme, attribute: str
-    ) -> "AttributeDistribution | None":
-        """The distribution of ``d_{f,s}[A]``, or None when it does not exist."""
-        return self.attribute_distributions(fact, [(scheme, attribute)])[0]
-
-    def attribute_distributions(
-        self, fact: Fact, queries: Sequence[tuple[WalkScheme, str]]
-    ) -> "list[AttributeDistribution | None]":
-        """:meth:`attribute_distribution` of every (scheme, attribute) query.
-
-        Each distinct scheme's destination row is computed once, however many
-        of its attributes are queried — the one-by-one extender asks for one
-        attribute per walk target, and targets share schemes.
-        """
-        from repro.walks.random_walks import AttributeDistribution
-
-        return [
-            None
-            if result is None
-            else AttributeDistribution(scheme, attribute, tuple(result[0]), result[1])
-            for (scheme, attribute), result in zip(
-                queries, self._attribute_rows(fact, queries, batched=True)
-            )
-        ]

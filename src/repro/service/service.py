@@ -199,13 +199,12 @@ class EmbeddingService:
             )
         if policy == "on_arrival" and not embedder.supports_on_arrival:
             # for FoRWaRD: a model restored from disk has no training-time
-            # distribution cache, so every extension would silently fall back
-            # to the trained centroid (see save_forward_model); other methods
-            # may refuse for their own consistency reasons
+            # attribute matrices (see save_forward_model); other methods may
+            # refuse for their own consistency reasons
             raise ValueError(
                 f"method {embedder.name!r} cannot be served under policy "
                 "'on_arrival' in its current state (for FoRWaRD this needs the "
-                "model's training-time destination distributions, which are not "
+                "model's training-time attribute matrices, which are not "
                 "persisted; a model loaded from disk must be served with policy "
                 "'recompute')"
             )

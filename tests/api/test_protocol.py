@@ -103,7 +103,7 @@ class TestForwardEquivalence:
         embedder = ForwardEmbedding(fast_forward_config)
         assert embedder.supports_partial_fit and embedder.supports_recompute
         embedder.fit(genes.masked_database(), genes.prediction_relation, rng=SEED)
-        assert embedder.supports_on_arrival  # fresh fit has distributions
+        assert embedder.supports_on_arrival  # fresh fit has training matrices
         assert embedder.tracked_relation == genes.prediction_relation
         assert embedder.dimension == fast_forward_config.dimension
         trained = embedder.embedded_fact_ids

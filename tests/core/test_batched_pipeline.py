@@ -5,7 +5,7 @@ the per-fact serial path under a shared key (same anchor picks, same
 equations, same least-squares solutions).  Across calls it re-derives only
 what moved: replaying an unchanged database computes no right-hand-side
 entry and factors no system, each batch reads one attribute matrix per walk
-target and never the single-fact row path, and a mutation recomputes only
+target and never `WalkEngine.attribute_rows`, and a mutation recomputes only
 the entries whose attribute rows it changed — an update or delete that
 touches no walk distribution recomputes nothing.
 """
@@ -460,24 +460,63 @@ class TestSchemeCacheAccounting:
                 streamed_result[fact_id], vector, atol=1e-12
             )
 
-    def test_requires_recomputed_old_paths(self, streamed):
-        model, db, _, prediction = streamed
-        extender = ForwardDynamicExtender(model, db, recompute_old_paths=False)
-        with pytest.raises(ValueError, match="recompute_old_paths"):
+
+class TestOneByOne:
+    """Without ``recompute_old_paths`` the anchors are rows of the model's
+    training-time matrices: a mutation that moves only trained facts' rows
+    on the current database leaves every new fact's vector as it was."""
+
+    def test_anchors_keep_training_time_rows(self, streamed):
+        model, db, new_facts, prediction = streamed
+        sequel = next(f for f in prediction if f["mid"] == "m99")
+        # a trained movie of another studio: no walk of length <= 2 from the
+        # sequel reaches it, while it is an anchor of every MOVIES target
+        other = next(
+            f for f in db.facts("MOVIES")
+            if f.fact_id in model.fact_row and f["studio"] != sequel["studio"]
+        )
+        frozen = _extender(model, db, new_facts)
+        frozen.recompute_old_paths = False
+        recomputed = _extender(model, db, new_facts)
+        before = {
+            name: extender.extend_batch([sequel])[sequel.fact_id]
+            for name, extender in (("frozen", frozen), ("recomputed", recomputed))
+        }
+        db.update(other, {"title": "Retitled", "budget": 7})
+        frozen.notify_updated([db.fact(other.fact_id)])
+        recomputed.notify_updated([db.fact(other.fact_id)])
+        assert np.array_equal(frozen.extend_batch([sequel])[sequel.fact_id], before["frozen"])
+        assert not np.allclose(
+            recomputed.extend_batch([sequel])[sequel.fact_id], before["recomputed"]
+        )
+
+    def test_needs_training_matrices(self, streamed, tmp_path):
+        from repro.core import load_forward_model, save_forward_model
+
+        model, db, _new_facts, prediction = streamed
+        save_forward_model(model, tmp_path / "model")
+        restored = load_forward_model(tmp_path / "model", db)
+        assert restored.training_matrices == ()
+        extender = ForwardDynamicExtender(restored, db, recompute_old_paths=False)
+        with pytest.raises(ValueError, match="recompute_old_paths=True"):
             extender.extend_batch(prediction)
 
 
 def _cross_matrix_entries(context, fact_rows, owners, anchor_rows):
     """``_TargetContext.kd_entries`` as it was computed from one dense
-    ``kernel.cross_matrix`` between the codes the anchors and the facts use."""
+    ``kernel.cross_matrix`` between the codes the anchors and the facts use:
+    the anchors' of the anchor matrix, the facts' of the current one."""
     from repro.engine.engine import row_entries
 
     indptr, indices, data = context.matrix.indptr, context.matrix.indices, context.matrix.data
+    anchor = context.anchor_matrix
     new_entries, new_lengths = row_entries(indptr, fact_rows)
-    entries, lengths = row_entries(indptr, anchor_rows)
+    entries, lengths = row_entries(anchor.indptr, anchor_rows)
     new_codes, new_columns = np.unique(indices[new_entries], return_inverse=True)
-    codes, columns = np.unique(indices[entries], return_inverse=True)
-    kernel = context.target.kernel.cross_matrix(context.vocab[codes], context.vocab[new_codes])
+    codes, columns = np.unique(anchor.indices[entries], return_inverse=True)
+    kernel = context.target.kernel.cross_matrix(
+        context.anchor_vocab[codes], context.vocab[new_codes]
+    )
     pairs, pair_of_entry = np.unique(
         np.repeat(owners, lengths) * codes.size + columns, return_inverse=True
     )
@@ -488,13 +527,17 @@ def _cross_matrix_entries(context, fact_rows, owners, anchor_rows):
         * kernel[np.repeat(pair_codes, spans), new_columns[fact_entries]],
         np.cumsum(spans) - spans,
     )
-    return np.add.reduceat(data[entries] * similarity[pair_of_entry], np.cumsum(lengths) - lengths)
+    return np.add.reduceat(
+        anchor.data[entries] * similarity[pair_of_entry], np.cumsum(lengths) - lengths
+    )
 
 
 class TestKernelGather:
     """The right-hand-side gather evaluates the kernel only on the (anchor
     code, fact code) pairs that occur, through ``Kernel.elementwise``; the
-    entries are bit-identical to evaluating one dense ``cross_matrix``."""
+    entries are bit-identical to evaluating one dense ``cross_matrix``, with
+    the anchors on the current matrix (all-at-once) or on a matrix of their
+    own, in a vocabulary of its own (one-by-one)."""
 
     @pytest.mark.parametrize("kind", ["gaussian", "equality"])
     def test_entries_match_the_cross_matrix_path_bit_for_bit(self, kind):
@@ -517,10 +560,25 @@ class TestKernelGather:
         matrix = sparse.random(n_rows, n_codes, density=0.2, format="csr", random_state=5)
         matrix.data = rng.random(matrix.nnz) + 0.1
         reached = np.flatnonzero(np.diff(matrix.indptr) > 0)
+        # a second anchor side: its first codes mean what the current
+        # matrix's do, in another order, and it has codes of its own
+        frozen_vocab = np.empty(n_codes + 5, dtype=object)
+        frozen_vocab[:] = [*vocab[::-1], *vocab[:5]]
+        frozen = sparse.random(n_rows, n_codes + 5, density=0.2, format="csr", random_state=6)
+        frozen.data = rng.random(frozen.nnz) + 0.1
+        frozen_reached = np.flatnonzero(np.diff(frozen.indptr) > 0)
         target = WalkTarget(0, WalkScheme("MOVIES"), "title", kernel)
-        context = _TargetContext(target, matrix, vocab, None, reached, reached)
         fact_rows = reached[:6]
         owners = np.repeat(np.arange(fact_rows.size), 5)
-        anchor_rows = rng.choice(reached, owners.size)
-        expected = _cross_matrix_entries(context, fact_rows, owners, anchor_rows)
-        assert np.array_equal(context.kd_entries(fact_rows, owners, anchor_rows), expected)
+        for anchor, anchor_vocab, rows in (
+            (matrix, vocab, reached), (frozen, frozen_vocab, frozen_reached)
+        ):
+            context = _TargetContext(
+                target, matrix, vocab, None, anchor, anchor_vocab,
+                np.arange(n_rows), None, rows, reached,
+            )
+            anchor_rows = rng.choice(rows, owners.size)
+            expected = _cross_matrix_entries(context, fact_rows, owners, anchor_rows)
+            assert np.array_equal(
+                context.kd_entries(fact_rows, owners, anchor_rows), expected
+            )

@@ -76,9 +76,10 @@ class TestTraining:
         assert np.allclose(first.phi, second.phi)
 
     def test_distributions_cached_per_target(self, trained_model, genes):
-        fact = genes.db.facts("CLASSIFICATION")[0]
-        keys = [k for k in trained_model.distributions if k[0] == fact.fact_id]
-        assert len(keys) == len(trained_model.targets)
+        # one training-time attribute matrix per walk target, a row per φ row
+        assert len(trained_model.training_matrices) == len(trained_model.targets)
+        for matrix, vocab in trained_model.training_matrices:
+            assert matrix.shape == (len(trained_model.fact_ids), vocab.size)
 
     def test_too_few_facts_rejected(self, fast_forward_config):
         db = movies_database()

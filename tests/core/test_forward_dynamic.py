@@ -79,6 +79,73 @@ class TestExtension:
         known = partition.db.facts(genes.prediction_relation)[:2]
         assert len(extender.extend(known)) == 0
 
+    @pytest.mark.parametrize("recompute", [True, False])
+    def test_extend_is_one_batch(self, genes, recompute, monkeypatch):
+        """Both settings embed an extend call's facts in one extend_batch
+        call, equal to the serial oracle per fact."""
+        partition = partition_dataset(genes, ratio_new=0.15, rng=6)
+        model = ForwardEmbedder(partition.db, genes.prediction_relation, CONFIG, rng=2).fit()
+        extender = ForwardDynamicExtender(
+            model, partition.db, recompute_old_paths=recompute, rng=2
+        )
+        restored = []
+        replay_all_at_once(partition, restored.extend)
+        calls = []
+        batch = ForwardDynamicExtender.extend_batch
+        monkeypatch.setattr(
+            ForwardDynamicExtender, "extend_batch",
+            lambda self, facts: calls.append(len(facts)) or batch(self, facts),
+        )
+        result = extender.extend(restored)
+        expected = partition.new_prediction_ids
+        assert calls == [len(expected)]
+        assert set(result.fact_ids) == set(expected)
+        for fact in restored:
+            if fact.fact_id in result:
+                np.testing.assert_allclose(
+                    result.vector(fact), extender.embed_fact(fact), atol=1e-12, rtol=0
+                )
+
+    @pytest.mark.parametrize("recompute", [True, False])
+    def test_repeated_fact_is_embedded_once(self, genes, recompute):
+        partition = partition_dataset(genes, ratio_new=0.15, rng=6)
+        model = ForwardEmbedder(partition.db, genes.prediction_relation, CONFIG, rng=2).fit()
+        extender = ForwardDynamicExtender(
+            model, partition.db, recompute_old_paths=recompute, rng=2
+        )
+        restored = []
+        replay_all_at_once(partition, restored.extend)
+        fact = next(f for f in restored if f.relation == genes.prediction_relation)
+        result = extender.extend([fact, fact, fact])
+        assert result.fact_ids == (fact.fact_id,)
+        assert model.extended_fact_ids == (fact.fact_id,)
+        np.testing.assert_allclose(
+            result.vector(fact), extender.embed_fact(fact), atol=1e-12, rtol=0
+        )
+        # a known fact is skipped on the next call, repeated or not
+        assert len(extender.extend([fact, fact])) == 0
+
+    @pytest.mark.parametrize("recompute", [True, False])
+    def test_uncompiled_fact_is_embedded_by_extend(self, genes, recompute):
+        """A fact inserted without notify_inserted: the extender's engine
+        catches up on its own."""
+        partition = partition_dataset(genes, ratio_new=0.1, rng=8)
+        model = ForwardEmbedder(partition.db, genes.prediction_relation, CONFIG, rng=4).fit()
+        extender = ForwardDynamicExtender(
+            model, partition.db, recompute_old_paths=recompute, rng=4
+        )
+        extender.engine.refresh()  # compiled before the insertions
+        restored = []
+        replay_all_at_once(partition, restored.extend)  # no notify_inserted on purpose
+        straggler = next(f for f in restored if f.relation == genes.prediction_relation)
+        assert not extender.engine.compiled.has_fact(straggler)
+        result = extender.extend([straggler])
+        assert straggler.fact_id in result
+        assert extender.engine.compiled.has_fact(straggler)
+        np.testing.assert_allclose(
+            result.vector(straggler), extender.embed_fact(straggler), atol=1e-12, rtol=0
+        )
+
     def test_extended_vector_registered_on_model(self, genes):
         partition = partition_dataset(genes, ratio_new=0.1, rng=7)
         model = ForwardEmbedder(partition.db, genes.prediction_relation, CONFIG, rng=3).fit()

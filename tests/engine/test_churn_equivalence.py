@@ -8,11 +8,12 @@ after any randomized churn sequence agree with a from-scratch recompile
 
 import numpy as np
 import pytest
+from engine_rows import assert_maps_equal, destination_map, reference_destination_map
 
 from repro.datasets import load_dataset
 from repro.datasets.movies import movies_database
 from repro.engine import CompiledDatabase, WalkEngine
-from repro.walks import WalkScheme, destination_distribution, enumerate_walk_schemes
+from repro.walks import WalkScheme, enumerate_walk_schemes
 
 
 @pytest.fixture
@@ -20,28 +21,15 @@ def db():
     return movies_database()
 
 
-def _as_map(distribution):
-    return {
-        fact.fact_id: float(p)
-        for fact, p in zip(distribution.facts, distribution.probabilities)
-    }
-
-
 def assert_engine_matches_fresh(engine, db, prediction_relation, max_length=2):
     """Every (fact, scheme) distribution equals a fresh engine + reference."""
     fresh = WalkEngine(db)
     for scheme in enumerate_walk_schemes(db.schema, prediction_relation, max_length):
-        engine.destination_matrix(scheme)
-        fresh.destination_matrix(scheme)
         for fact in db.facts(prediction_relation):
-            computed = _as_map(engine.destination_distribution(fact, scheme))
-            recompiled = _as_map(fresh.destination_distribution(fact, scheme))
-            reference = _as_map(destination_distribution(db, fact, scheme))
+            reference = reference_destination_map(db, fact, scheme)
             context = (str(scheme), fact.fact_id)
-            assert set(computed) == set(recompiled) == set(reference), context
-            for key, p in reference.items():
-                assert computed[key] == pytest.approx(p, abs=1e-12), (context, key)
-                assert recompiled[key] == pytest.approx(p, abs=1e-12), (context, key)
+            assert_maps_equal(reference, destination_map(engine, fact, scheme), context)
+            assert_maps_equal(reference, destination_map(fresh, fact, scheme), context)
 
 
 class TestRemoveFact:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from engine_rows import destination_map
 
 from repro.datasets.movies import movies_database
 from repro.engine import CompiledDatabase, ValueColumn, WalkEngine
@@ -207,34 +208,7 @@ class TestEngineSync:
         engine.add_facts([new_movie])
         matrix = engine.destination_matrix(scheme)
         assert matrix.shape[0] == db.num_facts("MOVIES")
-        distribution = engine.destination_distribution(new_movie, scheme)
-        assert distribution.facts == (new_movie,)
-
-    def test_single_row_queries_promote_to_batched_matrix(self, db):
-        from repro.walks import Direction, WalkStep
-
-        fk = db.schema.foreign_keys_from("COLLABORATIONS")[0]
-        scheme = WalkScheme("COLLABORATIONS", (WalkStep(fk, Direction.FORWARD),))
-        engine = WalkEngine(db)
-        facts = db.facts("COLLABORATIONS")
-        first = engine.destination_distribution(facts[0], scheme)
-        assert scheme not in engine._mass_cache  # cold query used the BFS path
-        second = engine.destination_distribution(facts[1], scheme)
-        assert scheme in engine._mass_cache  # second query built the matrix
-        for fact, dist in ((facts[0], first), (facts[1], second)):
-            from repro.walks import destination_distribution as reference
-
-            expected = reference(db, fact, scheme)
-            assert {f.fact_id for f in dist.facts} == {f.fact_id for f in expected.facts}
-
-    def test_query_for_uncompiled_fact_self_heals(self, db):
-        engine = WalkEngine(db)
-        scheme = WalkScheme("MOVIES")
-        engine.destination_matrix(scheme)
-        straggler = db.insert("MOVIES", {"mid": "m96", "title": "Straggler", "budget": 4})
-        # no add_facts/refresh on purpose: the engine must catch up on its own
-        distribution = engine.destination_distribution(straggler, scheme)
-        assert distribution.facts == (straggler,)
+        assert destination_map(engine, new_movie, scheme) == {new_movie.fact_id: 1.0}
 
     def test_engine_refresh_handles_deletion(self, db):
         engine = WalkEngine(db)

@@ -9,18 +9,21 @@ after incremental fact insertion.
 
 import numpy as np
 import pytest
+from engine_rows import (
+    assert_maps_equal,
+    attribute_map,
+    destination_map,
+    reference_attribute_map,
+    reference_destination_map,
+    row_map,
+)
 
 from repro.core import ForwardConfig, ForwardEmbedder
 from repro.datasets import load_dataset
 from repro.datasets.registry import PAPER_DATASETS
 from repro.dynamic import partition_dataset, replay_one_by_one
 from repro.engine import WalkEngine
-from repro.walks import (
-    attribute_distribution,
-    destination_distribution,
-    enumerate_walk_schemes,
-    walk_targets,
-)
+from repro.walks import enumerate_walk_schemes, walk_targets
 
 #: Small generation scales keep the reference BFS affordable in CI.
 SCALES = {
@@ -39,23 +42,6 @@ def _load(name):
     return load_dataset(name, scale=SCALES[name], seed=7)
 
 
-def _as_map(facts, probabilities):
-    return {fact.fact_id: float(p) for fact, p in zip(facts, probabilities)}
-
-
-def _value_map(values, probabilities):
-    out = {}
-    for value, p in zip(values, probabilities):
-        out[value] = out.get(value, 0.0) + float(p)
-    return out
-
-
-def assert_maps_equal(reference, engine_map, context):
-    assert set(reference) == set(engine_map), context
-    for key, p in reference.items():
-        assert engine_map[key] == pytest.approx(p, abs=1e-12), (context, key)
-
-
 @pytest.mark.parametrize("name", ALL_DATASETS)
 def test_destination_distributions_match_reference(name):
     dataset = _load(name)
@@ -65,19 +51,13 @@ def test_destination_distributions_match_reference(name):
     schemes = enumerate_walk_schemes(db.schema, dataset.prediction_relation, 2)
     facts = list(dataset.prediction_facts())
     for scheme in schemes:
-        # warm the batched matrix so the per-fact queries exercise the sparse
-        # matrix path (a cold single-fact query falls back to an index BFS)
-        engine.destination_matrix(scheme)
         # the engine computes all facts at once; the reference BFS is probed
         # on a sample of facts per scheme to keep the suite fast
         probe = facts if len(facts) <= 20 else list(rng.choice(facts, size=20, replace=False))
         for fact in probe:
-            reference = destination_distribution(db, fact, scheme)
-            computed = engine.destination_distribution(fact, scheme)
-            assert computed.scheme == scheme
             assert_maps_equal(
-                _as_map(reference.facts, reference.probabilities),
-                _as_map(computed.facts, computed.probabilities),
+                reference_destination_map(db, fact, scheme),
+                destination_map(engine, fact, scheme),
                 (name, str(scheme), fact.fact_id),
             )
 
@@ -91,20 +71,12 @@ def test_attribute_distributions_match_reference(name):
     targets = walk_targets(db.schema, dataset.prediction_relation, 2)
     facts = list(dataset.prediction_facts())
     for scheme, attribute in targets:
-        engine.attribute_matrix(scheme, attribute.name)  # force the matrix path
         probe = facts if len(facts) <= 10 else list(rng.choice(facts, size=10, replace=False))
         for fact in probe:
-            reference = attribute_distribution(db, fact, scheme, attribute.name)
-            computed = engine.attribute_distribution(fact, scheme, attribute.name)
-            context = (name, str(scheme), attribute.name, fact.fact_id)
-            if reference is None:
-                assert computed is None, context
-                continue
-            assert computed is not None, context
             assert_maps_equal(
-                _value_map(reference.values, reference.probabilities),
-                _value_map(computed.values, computed.probabilities),
-                context,
+                reference_attribute_map(db, fact, scheme, attribute.name),
+                attribute_map(engine, fact, scheme, attribute.name),
+                (name, str(scheme), attribute.name, fact.fact_id),
             )
 
 
@@ -121,20 +93,17 @@ def test_equivalence_after_incremental_insertion(name):
     replay_one_by_one(partition, engine.add_facts)
     db = partition.db
     for scheme in enumerate_walk_schemes(db.schema, dataset.prediction_relation, 2):
-        engine.destination_matrix(scheme)  # matrices over the extended arrays
         for fact in db.facts(dataset.prediction_relation):
-            reference = destination_distribution(db, fact, scheme)
-            computed = engine.destination_distribution(fact, scheme)
             assert_maps_equal(
-                _as_map(reference.facts, reference.probabilities),
-                _as_map(computed.facts, computed.probabilities),
+                reference_destination_map(db, fact, scheme),
+                destination_map(engine, fact, scheme),
                 (name, str(scheme), fact.fact_id),
             )
 
 
 def test_forward_model_distributions_match_reference():
-    """ForwardEmbedder.fit stores engine-computed distributions identical to
-    the reference for every (fact, walk target) pair."""
+    """ForwardEmbedder.fit keeps training-time attribute matrices whose row
+    of every fact (its φ row) equals the reference for every walk target."""
     dataset = _load("genes")
     config = ForwardConfig(
         dimension=8, n_samples=60, batch_size=128, max_walk_length=2, epochs=1,
@@ -142,17 +111,11 @@ def test_forward_model_distributions_match_reference():
     )
     db = dataset.masked_database()
     model = ForwardEmbedder(db, dataset.prediction_relation, config, rng=0).fit()
-    for target in model.targets:
+    assert len(model.training_matrices) == len(model.targets)
+    for target, (matrix, vocab) in zip(model.targets, model.training_matrices):
         for fact in db.facts(dataset.prediction_relation):
-            stored = model.distribution(fact.fact_id, target.index)
-            reference = attribute_distribution(db, fact, target.scheme, target.attribute)
-            context = (str(target.scheme), target.attribute, fact.fact_id)
-            if reference is None:
-                assert stored is None, context
-                continue
-            assert stored is not None, context
             assert_maps_equal(
-                _value_map(reference.values, reference.probabilities),
-                _value_map(stored.values, stored.probabilities),
-                context,
+                reference_attribute_map(db, fact, target.scheme, target.attribute),
+                row_map(matrix, vocab, model.fact_row[fact.fact_id]),
+                (str(target.scheme), target.attribute, fact.fact_id),
             )

@@ -14,7 +14,8 @@ step:
   whose reference-BFS attribute distribution changed (or is new);
 * :meth:`ForwardDynamicExtender.extend_batch`, which reuses entries of
   unmoved rows, equals the serial :meth:`ForwardDynamicExtender.embed_fact`
-  to 1e-12.
+  to 1e-12, in both of the paper's settings: anchors on the current
+  database and on the model's training-time matrices.
 """
 
 import numpy as np
@@ -142,9 +143,12 @@ def test_moved_rows_cover_every_change_and_rows_match_a_full_build(data):
     short_journal = data.draw(st.booleans(), label="short journal")
     if short_journal:
         engine.compiled.JOURNAL_LIMIT = 3
-    extender = ForwardDynamicExtender(
-        MODEL, db, recompute_old_paths=True, rng=SEED, engine=engine
-    )
+    # one extender per setting (recompute_old_paths), sharing the engine
+    extenders = [
+        ForwardDynamicExtender(MODEL, db, recompute_old_paths=recompute, rng=SEED, engine=engine)
+        for recompute in (True, False)
+    ]
+    extender = extenders[0]  # notifies the shared engine
     pending, streamed = list(STREAM), {}
     since, reference = None, _reference(db)
     for _ in range(data.draw(st.integers(2, 5), label="steps")):
@@ -174,14 +178,16 @@ def test_moved_rows_cover_every_change_and_rows_match_a_full_build(data):
         since, reference = engine.compiled.position, current
 
         prediction = list(streamed.values())
-        batched = extender.extend_batch(prediction)
-        serial = ForwardDynamicExtender(
-            MODEL, db, recompute_old_paths=True, rng=SEED, engine=WalkEngine(db)
-        )
-        for fact in prediction:
-            np.testing.assert_allclose(
-                batched[fact.fact_id], serial.embed_fact(fact), atol=1e-12, rtol=0
+        for each in extenders:
+            batched = each.extend_batch(prediction)
+            serial = ForwardDynamicExtender(
+                MODEL, db, recompute_old_paths=each.recompute_old_paths, rng=SEED,
+                engine=WalkEngine(db),
             )
+            for fact in prediction:
+                np.testing.assert_allclose(
+                    batched[fact.fact_id], serial.embed_fact(fact), atol=1e-12, rtol=0
+                )
 
 
 def test_compaction_renumbers_like_a_fresh_compile():

@@ -9,7 +9,11 @@ final database — and on what the serial
 :meth:`ForwardDynamicExtender.embed_fact` computes — to 1e-12, including
 sequences whose delete batches straddle the engine's lazy compaction
 threshold, and with fewer anchors per target than candidates, so that the
-picks are sampled and re-derived as candidates come and go.
+picks are sampled and re-derived as candidates come and go.  Every history
+drives one extender per setting of the paper over one engine: anchors on
+the current database (``recompute_old_paths``) and on the model's
+training-time matrices (one-by-one); each setting is held to its own fresh
+extender and serial oracle.
 """
 
 import dataclasses
@@ -57,17 +61,22 @@ BASE_DB, MODEL, STREAM, PREDICTION_RELATION = _base(CONFIG)
 SAMPLED_MODEL = _base(dataclasses.replace(CONFIG, n_new_samples=2))[1]
 
 
-def _fresh_embeddings(db, alive, prediction, model=MODEL):
+#: ``recompute_old_paths`` of the paper's two settings: all-at-once, one-by-one
+SETTINGS = (True, False)
+
+
+def _fresh_embeddings(db, alive, prediction, model=MODEL, recompute=True):
     """One-shot ground truth: a fresh extender on the final database."""
     fresh = ForwardDynamicExtender(
-        model, db, recompute_old_paths=True, rng=SEED, engine=WalkEngine(db)
+        model, db, recompute_old_paths=recompute, rng=SEED, engine=WalkEngine(db)
     )
     fresh.notify_inserted(list(alive.values()))
     return fresh.extend_batch(prediction)
 
 
 def _run_churn(data, compact_min_dead=None, model=MODEL, kinds=("insert", "insert", "delete", "update")):
-    """Drive one randomized CRUD sequence; return (final, expected).
+    """Drive one randomized CRUD sequence through an extender per setting
+    sharing one engine; return the state and each setting's last batch.
 
     A ``"delete_trained"`` op deletes a trained fact: a candidate anchor.
     """
@@ -76,13 +85,17 @@ def _run_churn(data, compact_min_dead=None, model=MODEL, kinds=("insert", "inser
     if compact_min_dead is not None:
         engine.compiled.COMPACT_MIN_DEAD = compact_min_dead
         engine.compiled.COMPACT_FRACTION = 0.0  # any tombstone compacts
-    extender = ForwardDynamicExtender(
-        model, db, recompute_old_paths=True, rng=SEED, engine=engine
-    )
+    extenders = {
+        recompute: ForwardDynamicExtender(
+            model, db, recompute_old_paths=recompute, rng=SEED, engine=engine
+        )
+        for recompute in SETTINGS
+    }
+    extender = extenders[True]  # notifies the shared engine
 
     pending = list(STREAM)
     alive: dict[int, object] = {}
-    final: dict[int, np.ndarray] = {}
+    final: dict[bool, dict[int, np.ndarray]] = {}
     n_batches = data.draw(st.integers(2, 4), label="n_batches")
     for _ in range(n_batches):
         inserted, deleted, updated = [], [], []
@@ -141,8 +154,9 @@ def _run_churn(data, compact_min_dead=None, model=MODEL, kinds=("insert", "inser
             if f.relation == PREDICTION_RELATION
         ]
         # recompute policy: re-embed every live streamed prediction fact
-        extender.key = anchor_key(SEED)
-        final = extender.extend_batch(prediction)
+        for recompute, each in extenders.items():
+            each.key = anchor_key(SEED)
+            final[recompute] = each.extend_batch(prediction)
 
     prediction = [
         f for f in alive.values() if f.relation == PREDICTION_RELATION
@@ -154,10 +168,7 @@ def _run_churn(data, compact_min_dead=None, model=MODEL, kinds=("insert", "inser
 @settings(max_examples=25, deadline=None)
 def test_random_crud_sequences_converge_to_fresh_recompile(data):
     db, _engine, alive, prediction, final = _run_churn(data)
-    expected = _fresh_embeddings(db, alive, prediction)
-    assert set(final) == set(expected)
-    for fact_id, vector in expected.items():
-        np.testing.assert_allclose(final[fact_id], vector, atol=1e-12, rtol=0)
+    _assert_matches_fresh(db, alive, prediction, final, MODEL)
 
 
 @given(st.data())
@@ -179,19 +190,30 @@ def test_sampled_picks_match_serial_embed_fact_and_fresh_recompile(data):
         kinds=("insert", "insert", "delete", "update", "delete_trained"),
     )
     _assert_matches_serial(db, engine, alive, prediction, final, SAMPLED_MODEL)
-    expected = _fresh_embeddings(db, alive, prediction, SAMPLED_MODEL)
-    for fact_id, vector in expected.items():
-        np.testing.assert_allclose(final[fact_id], vector, atol=1e-12, rtol=0)
+    _assert_matches_fresh(db, alive, prediction, final, SAMPLED_MODEL)
 
 
 def _assert_matches_serial(db, _engine, _alive, prediction, final, model):
-    serial = ForwardDynamicExtender(
-        model, db, recompute_old_paths=True, rng=SEED, engine=WalkEngine(db)
-    )
-    expected = {fact.fact_id: serial.embed_fact(fact) for fact in prediction}
-    assert set(final) == set(expected)
-    for fact_id, vector in expected.items():
-        np.testing.assert_allclose(final[fact_id], vector, atol=1e-12, rtol=0)
+    for recompute in SETTINGS:
+        serial = ForwardDynamicExtender(
+            model, db, recompute_old_paths=recompute, rng=SEED, engine=WalkEngine(db)
+        )
+        expected = {fact.fact_id: serial.embed_fact(fact) for fact in prediction}
+        assert set(final[recompute]) == set(expected)
+        for fact_id, vector in expected.items():
+            np.testing.assert_allclose(
+                final[recompute][fact_id], vector, atol=1e-12, rtol=0
+            )
+
+
+def _assert_matches_fresh(db, alive, prediction, final, model):
+    for recompute in SETTINGS:
+        expected = _fresh_embeddings(db, alive, prediction, model, recompute)
+        assert set(final[recompute]) == set(expected)
+        for fact_id, vector in expected.items():
+            np.testing.assert_allclose(
+                final[recompute][fact_id], vector, atol=1e-12, rtol=0
+            )
 
 
 @given(st.data())
@@ -206,10 +228,7 @@ def test_convergence_holds_across_lazy_compaction(data):
         relation.num_dead == 0
         for relation in engine.compiled.relations.values()
     )
-    expected = _fresh_embeddings(db, alive, prediction)
-    assert set(final) == set(expected)
-    for fact_id, vector in expected.items():
-        np.testing.assert_allclose(final[fact_id], vector, atol=1e-12, rtol=0)
+    _assert_matches_fresh(db, alive, prediction, final, MODEL)
 
 
 def test_compaction_straddling_batch_is_deterministic():

@@ -381,7 +381,7 @@ MALFORMED = st.one_of(
     st.binary(min_size=1, max_size=40).filter(_not_utf8)
     .map(lambda b: request("POST", "/knn", b)),
     st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=30)
-    .filter(lambda p: p not in ("/health", "/stats", "/versions"))
+    .filter(lambda p: p not in ("health", "stats", "versions"))
     .map(lambda p: request("GET", "/" + p)),
 )
 STRUCTURED = st.tuples(PATHS, st.dictionaries(FIELDS, JSON_VALUES, max_size=4)).map(

@@ -319,7 +319,7 @@ class TestServiceSemantics:
         restored_model = load_forward_model(tmp_path / "model", partition.db)
         with pytest.raises(ValueError, match="recompute"):
             EmbeddingService(restored_model, partition.db, engine=engine, policy="on_arrival")
-        # recompute does not need the training-time distributions
+        # recompute does not need the training-time attribute matrices
         EmbeddingService(restored_model, partition.db, engine=engine, policy="recompute")
 
     def test_retention_bounds_snapshot_history(self, served):
