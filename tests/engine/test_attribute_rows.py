@@ -1,15 +1,15 @@
 """``WalkEngine.attribute_rows``: one fact's rows of the attribute matrices.
 
 ``attribute_rows`` answers every (scheme, attribute) walk target of one
-fact as a slice of :meth:`WalkEngine.attribute_matrix`.  It must agree with
-the reference BFS, refuse a scheme that does not start at the fact's
-relation, and read the same bits after incremental appends as a fresh
-engine does.
+fact as a slice of :meth:`WalkEngine.attribute_matrix`.  It must equal the
+per-query matrix rows exactly, agree with the reference BFS, refuse a
+scheme that does not start at the fact's relation, and read the same bits
+after incremental appends as a fresh engine does.
 """
 
 import numpy as np
 import pytest
-from engine_rows import assert_maps_equal, reference_attribute_map
+from engine_rows import assert_maps_equal, attribute_map, reference_attribute_map
 
 from repro.engine import WalkEngine
 from repro.walks import enumerate_walk_schemes
@@ -34,6 +34,25 @@ def _queries(db, relation):
 
 
 class TestFusedEqualsSerial:
+    def test_matches_attribute_row_exactly(self, movies_db):
+        """Every fact's answer for all queries at once equals, bit for bit,
+        its row of ``attribute_matrix`` read one query at a time on a
+        separate engine."""
+        engine = WalkEngine(movies_db)
+        serial_engine = WalkEngine(movies_db)
+        queries = _queries(movies_db, "MOVIES")
+        assert queries
+        for fact in movies_db.facts("MOVIES"):
+            fused = engine.attribute_rows(fact, queries)
+            assert len(fused) == len(queries)
+            for entry, (scheme, attribute) in zip(fused, queries):
+                serial = attribute_map(serial_engine, fact, scheme, attribute)
+                if serial is None:
+                    assert entry is None
+                    continue
+                values, probabilities = entry
+                assert dict(zip(values.tolist(), probabilities.tolist())) == serial
+
     def test_matches_reference_bfs(self, movies_db):
         engine = WalkEngine(movies_db)
         queries = _queries(movies_db, "MOVIES")
