@@ -6,8 +6,10 @@ paper's maximum length 3) two ways:
 
 * *reference*: the per-fact breadth-first propagation of
   :func:`repro.walks.random_walks.destination_distribution`;
-* *engine*: batched sparse matrix products over a compiled
-  :class:`repro.engine.WalkEngine` (all facts of the relation at once).
+* *engine*: :meth:`repro.engine.WalkEngine.destination_matrix` over a
+  compiled database — the chain of sparse step products run over every row
+  of the relation at once, each scheme built on its own (no prefix product
+  is shared between schemes).
 
 The engine must be at least 5× faster.  One-time compilation of the
 database into flat arrays is reported separately: the experiment drivers

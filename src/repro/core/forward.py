@@ -214,8 +214,9 @@ class ForwardEmbedder:
         )
         matrices: list[tuple[sparse.csr_matrix, np.ndarray]] = []
         samples: list[_TargetSamples] = []
-        for target in targets:
-            matrix, vocab = engine.attribute_matrix(target.scheme, target.attribute)
+        # one request for every target: each scheme's rows are derived once
+        views = engine.attribute_views([(t.scheme, t.attribute) for t in targets], None)
+        for target, (matrix, vocab, _moved) in zip(targets, views):
             matrix = matrix[engine_rows]  # align matrix rows with ``facts``/φ rows
             matrices.append((matrix, vocab))
             drawn = self._draw_target_samples(target, matrix, vocab)

@@ -39,8 +39,8 @@ every row touched since any journal position, across compactions too.
 replaying its bounded changelog (``Database.changes_since``), so a refresh
 costs O(changes) — and O(1) when nothing changed — instead of a full
 database scan.  Alongside the global ``version`` (bumped by every mutation)
-the compiled form keeps *per-relation* and *per-foreign-key* dirty counters
-so downstream caches keyed on them survive mutations that cannot have
+the compiled form keeps *per-foreign-key* dirty counters so the pointer
+arrays and step matrices keyed on them survive mutations that cannot have
 affected them.
 """
 
@@ -211,10 +211,12 @@ class CompiledDatabase:
 
     The backing :class:`Database` stays the source of truth; the compiled
     arrays are a performance structure.  ``version`` increases on every
-    mutation so downstream caches (distribution matrices) can invalidate
-    cheaply; ``rel_versions``/``fk_versions`` increase only when the named
-    relation / foreign key was actually touched, so per-step transition
-    matrices of untouched foreign keys survive unrelated mutations.
+    mutation; ``fk_versions`` increase only when the named foreign key was
+    actually touched, so the pointer arrays and per-step transition matrices
+    of untouched foreign keys survive unrelated mutations.  What a mutation
+    touched, row by row, is read from the journal
+    (:meth:`changes_since`), which keeps the walk engine's attribute
+    matrices current by rows.
     """
 
     #: Tombstone fraction beyond which a relation triggers lazy compaction.
@@ -226,31 +228,31 @@ class CompiledDatabase:
     JOURNAL_LIMIT = 1 << 14
 
     def __init__(self, db: Database, *, telemetry: Telemetry | None = None):
+        self._bind(db, telemetry)
+        self._compile()
+
+    def _bind(self, db: Database, telemetry: Telemetry | None) -> None:
+        """Bind to ``db`` with no rows and fresh bookkeeping: version and
+        dirty counters at 0, no cached pointer arrays, an empty journal at
+        position 0, no known sync point with the database, and
+        ``telemetry``.  Compilation or a snapshot restore fills the rows."""
         self.db = db
         self.schema = db.schema
         self.relations: dict[str, CompiledRelation] = {}
         self.fk_target_rows: dict[str, list[int]] = {}
         self.version = 0
-        self.rel_versions: dict[str, int] = {
-            name: 0 for name in db.schema.relation_names
-        }
         self.fk_versions: dict[str, int] = {
             fk.name: 0 for fk in db.schema.foreign_keys
         }
         self._fk_array_cache: dict[str, tuple[int, np.ndarray]] = {}
         self._synced_db_version: int | None = None
-        self._start_journal()
-        self.set_telemetry(telemetry)
-        self._compile()
-
-    def _start_journal(self) -> None:
-        """An empty journal at position 0."""
         self._fks = {fk.name: fk for fk in self.schema.foreign_keys}
         self._journal: list[tuple] = []
         self._journal_base = 0
         #: the journal position the current row numbering starts at; rows
         #: are renumbered by compaction and recompilation
         self.generation_start = 0
+        self.set_telemetry(telemetry)
 
     def set_telemetry(self, telemetry: Telemetry | None) -> None:
         """Attach (or detach, with None) a telemetry bundle.
@@ -291,8 +293,6 @@ class CompiledDatabase:
                 else:
                     pointers.append(target_rel.row_of[target.fact_id])
             self.fk_target_rows[fk.name] = pointers
-        for name in self.rel_versions:
-            self.rel_versions[name] += 1
         for name in self.fk_versions:
             self.fk_versions[name] += 1
         self._synced_db_version = getattr(self.db, "version", None)
@@ -375,8 +375,7 @@ class CompiledDatabase:
         return RowDelta(arrays(rows), arrays(codes), arrays(sources), arrays(targets))
 
     def _touch_relation(self, rel_name: str) -> None:
-        """Dirty a relation's row-space and every foreign key touching it."""
-        self.rel_versions[rel_name] += 1
+        """Dirty every foreign key touching a relation."""
         for fk in self.schema.foreign_keys_from(rel_name):
             self.fk_versions[fk.name] += 1
         for fk in self.schema.foreign_keys_to(rel_name):
@@ -630,8 +629,6 @@ class CompiledDatabase:
             for fresh in new_rows - old_rows:
                 self._log_link(fk, fresh, pointers[fresh], row)
                 pointers[fresh] = row
-        if values_changed:
-            self.rel_versions[fact.relation] += 1
         if values_changed or fk_changed:
             self.version += 1
             return True

@@ -4,7 +4,7 @@ The reference implementation (:mod:`repro.walks.random_walks`) computes the
 destination distribution ``W(f, s)`` of Section V-A by a per-fact BFS over
 boxed :class:`Fact` objects.  :class:`WalkEngine` instead compiles every walk
 step into a row-stochastic sparse transition matrix and computes the
-distributions of **all facts of a relation at once** as a product of sparse
+distributions of **many facts of a relation at once** as a product of sparse
 matrices:
 
 * a FORWARD step through foreign key ``fk`` is the 0/1 matrix ``T`` with
@@ -18,22 +18,22 @@ like the reference BFS), and ``attribute_matrix(s, A)`` additionally
 aggregates destination mass over the dictionary-encoded values of ``A`` and
 renormalises over non-⊥ values (the paper's posterior convention).
 
-The transition and mass matrices are cached under a *dirty signature* (the
-per-relation and per-foreign-key mutation counters they read); the mass
-cache shares prefix products across the scheme tree.  Attribute matrices
-are *maintained by rows* instead.  The
+Every matrix is built by rows (:meth:`WalkEngine._destination_rows`): the
+chain of products runs over a chosen set of start rows, entry for entry as
+scipy's sparse product computes it, so any set of rows equals the same rows
+of the full product bit for bit.  Step matrices are cached per foreign-key
+dirty counter.  Attribute matrices are kept and *maintained by rows*.  The
 compiled database journals the rows each mutation touches
 (:meth:`~repro.engine.compiled.CompiledDatabase.changes_since`);
 :meth:`WalkEngine.moved_rows` pulls those marks back through a scheme's
 step matrices to the start rows whose walk reaches one, and
-:meth:`WalkEngine.attribute_matrix` re-derives only those rows — once per
-scheme, for every kept attribute of it — and splices them into the kept
-matrix.  Every product computes an output row from one input row, so the
-re-derived rows equal the full build's bit for bit; the full build runs
-only for a first request and after the rows were renumbered (compaction).
-:meth:`WalkEngine.attribute_views` hands a consumer the matrices together
-with the rows that moved since the journal position it last read, so the
-dynamic extension re-derives its entries only for those rows.  A single
+:meth:`WalkEngine.attribute_views` re-derives only those rows — once per
+scheme, for every attribute of it — and splices them into the kept
+matrices.  A full build is the same step with every row moved: it runs for
+a first request, after the rows were renumbered (compaction) and when the
+journal no longer reaches the kept position.  The views also hand a
+consumer the rows that moved since the journal position it last read, so
+the dynamic extension re-derives its entries only for those rows.  A single
 fact's distribution is its row of these matrices; the engine has no
 per-fact query path.
 """
@@ -48,20 +48,9 @@ import numpy as np
 from scipy import sparse
 
 from repro.db.database import Database, Fact
-from repro.engine.compiled import CompiledDatabase, RowDelta
+from repro.engine.compiled import CompiledDatabase, RowDelta, ValueColumn
 from repro.obs import ENGINE_CACHE_KINDS, NULL_TELEMETRY, Telemetry
 from repro.walks.schemes import Direction, WalkScheme, WalkStep
-
-def _normalize_rows(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Divide every non-empty row by its sum; empty rows stay empty."""
-    matrix = matrix.tocsr()
-    if matrix.data.size and not np.all(matrix.data > 0):
-        # stored zeros (possible only through extreme underflow) would put
-        # zero-probability entries into the support; prune them first
-        matrix.eliminate_zeros()
-    matrix.data = _normalized(matrix.indptr, matrix.data)
-    return matrix
-
 
 def _normalized(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
     """CSR ``data`` with every non-empty row divided by its sum."""
@@ -103,16 +92,12 @@ def _accumulate(
     group = np.empty(keys.size, dtype=np.int64)
     group[order] = np.cumsum(starts) - 1
     sums = np.bincount(group, weights=values)  # in the given order, per key
-    unique, first = ordered[starts], order[starts]
-    key_rows = unique // n_columns
-    layout = np.argsort(key_rows * keys.size - first, kind="stable")
+    first = order[starts]
+    layout = np.argsort(rows[first] * keys.size - first, kind="stable")
     layout = layout[sums[layout] != 0]
-    counts = np.bincount(key_rows[layout], minlength=n_rows)
-    return (
-        np.concatenate(([0], np.cumsum(counts))),
-        unique[layout] - key_rows[layout] * n_columns,
-        sums[layout],
-    )
+    first = first[layout]
+    counts = np.bincount(rows[first], minlength=n_rows)
+    return np.concatenate(([0], np.cumsum(counts))), columns[first], sums[layout]
 
 
 def _times(block: Block, matrix: sparse.csr_matrix) -> Block:
@@ -130,6 +115,31 @@ def _times(block: Block, matrix: sparse.csr_matrix) -> Block:
     )
 
 
+def _codes_at(column: ValueColumn, rows: np.ndarray) -> np.ndarray:
+    """The codes of a column's rows ``rows``, looked up one by one or, when
+    they are many, gathered from the whole column as an array."""
+    if 2 * rows.size < len(column.codes):
+        codes = column.codes
+        return np.fromiter(map(codes.__getitem__, rows.tolist()), np.int64, rows.size)
+    return column.codes_array()[rows]
+
+
+def _index_dtype(shape: tuple[int, int], nnz: int) -> type:
+    """The index dtype scipy settles on for a CSR matrix of this size."""
+    return np.int32 if max(*shape, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
+def _csr(block: Block, shape: tuple[int, int]) -> sparse.csr_matrix:
+    """``block`` as a ``shape`` CSR matrix, its indices already in scipy's
+    index dtype so that the constructor neither scans nor copies them."""
+    indptr, indices, data = block
+    dtype = _index_dtype(shape, data.size)
+    return sparse.csr_matrix(
+        (data, indices.astype(dtype, copy=False), indptr.astype(dtype, copy=False)),
+        shape=shape,
+    )
+
+
 def _splice(
     matrix: sparse.csr_matrix, rows: np.ndarray, block: Block, shape: tuple[int, int]
 ) -> sparse.csr_matrix:
@@ -143,15 +153,16 @@ def _splice(
     lengths[rows] = np.diff(block[0])
     placed = np.repeat(replaced, lengths)
     carried = ~np.repeat(replaced[: old_lengths.size], old_lengths)
-    indices = np.empty(placed.size, dtype=np.int64)
+    dtype = _index_dtype(shape, placed.size)
+    indices = np.empty(placed.size, dtype=dtype)
     indices[placed] = block[1]
     indices[~placed] = matrix.indices[carried]
     data = np.empty(placed.size)
     data[placed] = block[2]
     data[~placed] = matrix.data[carried]
-    return sparse.csr_matrix(
-        (data, indices, np.concatenate(([0], np.cumsum(lengths)))), shape=shape
-    )
+    indptr = np.zeros(shape[0] + 1, dtype=dtype)
+    indptr[1:] = np.cumsum(lengths)
+    return sparse.csr_matrix((data, indices, indptr), shape=shape)
 
 
 @dataclass(eq=False)
@@ -185,11 +196,10 @@ class WalkEngine:
         self.set_telemetry(
             telemetry if telemetry is not None else self.compiled.telemetry
         )
-        # cache value -> (dirty signature at build time, payload); signatures
-        # are per-foreign-key / per-relation, not the global version, so a
-        # mutation only invalidates the matrices it could have affected
+        # step matrix per (foreign key, direction), with the foreign key's
+        # dirty counter at build time: a mutation only invalidates the
+        # matrices of the foreign keys it touched
         self._step_cache: dict[tuple[str, Direction], tuple[int, sparse.csr_matrix]] = {}
-        self._mass_cache: dict[WalkScheme, tuple[tuple, sparse.csr_matrix]] = {}
         self._kept: dict[WalkScheme, _KeptScheme] = {}
         # moved-row marks at one journal position, per (scheme, since) and
         # per (scheme, attribute, since), with the deltas they came from
@@ -314,62 +324,17 @@ class WalkEngine:
 
     # -------------------------------------------------------- distributions
 
-    def _scheme_signature(self, scheme: WalkScheme) -> tuple:
-        """The dirty counters a scheme's distributions depend on.
-
-        A scheme reads the start relation's row space and every step's
-        transition matrix; each intermediate/end relation is an endpoint of
-        an adjacent step's foreign key, whose counter is bumped whenever the
-        relation is touched.  Mutations elsewhere leave the signature — and
-        therefore every cached matrix keyed on it — intact, so single-fact
-        churn during streaming only rebuilds the schemes it actually
-        affected.
-        """
-        compiled = self.compiled
-        return (
-            compiled.rel_versions[scheme.start_relation],
-            *(compiled.fk_versions[step.foreign_key.name] for step in scheme.steps),
-        )
-
     def destination_matrix(self, scheme: WalkScheme) -> sparse.csr_matrix:
         """Row ``i`` is the destination distribution of start-relation row ``i``.
 
         Shape is ``(n_start, n_end)`` in compiled row numbering; rows of
         facts with no complete walk are empty (tombstoned rows always are).
+        Built afresh on every call.
         """
-        return _normalize_rows(self._mass_matrix(scheme).copy())
-
-    def _mass_matrix(self, scheme: WalkScheme) -> sparse.csr_matrix:
-        """Unnormalised walk mass, with prefix products shared across schemes.
-
-        Scheme enumeration (Figure 4) grows schemes step by step, so sibling
-        schemes share all but their last step; caching the unnormalised mass
-        per scheme makes every scheme cost a single sparse product on top of
-        its prefix.  The returned matrix is cached — callers must copy before
-        mutating.
-        """
-        signature = self._scheme_signature(scheme)
-        hit = self._mass_cache.get(scheme)
-        if hit is not None and hit[0] == signature:
-            self._cache_hits["mass"].inc()
-            return hit[1]
-        self._cache_misses["mass"].inc()
-        start_rel = self.compiled.relations[scheme.start_relation]
-        if not scheme.steps:
-            if start_rel.num_dead:
-                # tombstoned rows must carry no mass, even onto themselves
-                mass = sparse.diags(
-                    start_rel.alive_array().astype(np.float64), format="csr"
-                )
-            else:
-                mass = sparse.identity(start_rel.num_rows, format="csr")
-        elif len(scheme.steps) == 1:
-            mass = self.step_matrix(scheme.steps[0])
-        else:
-            prefix = WalkScheme(scheme.start_relation, scheme.steps[:-1])
-            mass = self._mass_matrix(prefix) @ self.step_matrix(scheme.steps[-1])
-        self._mass_cache[scheme] = (signature, mass)
-        return mass
+        relations = self.compiled.relations
+        n_start = relations[scheme.start_relation].num_rows
+        shape = (n_start, relations[scheme.end_relation].num_rows)
+        return _csr(self._destination_rows(scheme, np.arange(n_start)), shape)
 
     def attribute_rows(
         self, fact: Fact, queries: Sequence[tuple[WalkScheme, str]]
@@ -394,30 +359,6 @@ class WalkEngine:
             )
         return results
 
-    def _column(self, relation: str, attribute: str) -> tuple[sparse.csr_matrix, np.ndarray]:
-        """(one-hot indicator over non-⊥ codes, vocabulary) of a column.
-
-        Built for full attribute-matrix builds only, which run on a first
-        request and after a renumbering; row re-derivation reads codes.
-        """
-        compiled_rel = self.compiled.relations[relation]
-        column = compiled_rel.columns[attribute]
-        codes = column.codes_array()
-        if compiled_rel.num_dead:
-            # tombstoned rows read as ⊥ so they never contribute a value
-            codes = np.where(compiled_rel.alive_array(), codes, -1)
-        # built directly in canonical CSR form: one entry per non-⊥ row
-        non_null = codes >= 0
-        indicator = sparse.csr_matrix(
-            (
-                np.ones(int(non_null.sum())),
-                codes[non_null],
-                np.concatenate(([0], np.cumsum(non_null))),
-            ),
-            shape=(codes.size, len(column.vocab)),
-        )
-        return indicator, column.vocab_array()
-
     def attribute_matrix(
         self, scheme: WalkScheme, attribute: str
     ) -> tuple[sparse.csr_matrix, np.ndarray]:
@@ -430,54 +371,28 @@ class WalkEngine:
         that moved (see :meth:`moved_rows`), bit-identical to a full build;
         a returned matrix is never modified afterwards.
         """
-        kept = self._kept.get(scheme)
-        rederived = self._advance([(scheme, kept)]) if self._stale(kept) else set()
-        return self._kept_payload(scheme, attribute, rederived)
-
-    def _stale(self, kept: _KeptScheme | None) -> bool:
-        """Are these kept matrices behind the journal, in the same numbering?"""
-        compiled = self.compiled
-        return kept is not None and compiled.generation_start <= kept.position != compiled.position
-
-    def _kept_payload(
-        self, scheme: WalkScheme, attribute: str, rederived: set
-    ) -> tuple[sparse.csr_matrix, np.ndarray]:
-        """A current kept matrix (a hit unless just re-derived), else a full build."""
-        compiled = self.compiled
-        kept = self._kept.get(scheme)
-        if kept is None or kept.position != compiled.position:
-            kept = self._kept[scheme] = _KeptScheme(compiled.position)
-        payload = kept.matrices.get(attribute)
-        if payload is None:
-            self._cache_misses["attr"].inc()
-            destinations = self.destination_matrix(scheme)
-            indicator, vocab = self._column(scheme.end_relation, attribute)
-            payload = (_normalize_rows(destinations @ indicator), vocab)
-            self._rows_rederived.inc(destinations.shape[0])
-            kept.matrices[attribute] = payload
-        elif (scheme, attribute) not in rederived:
-            self._cache_hits["attr"].inc()
-        return payload
+        return self.attribute_views([(scheme, attribute)], None)[0][:2]
 
     def attribute_views(
         self, queries: Sequence[tuple[WalkScheme, str]], since: int | None
     ) -> list[tuple[sparse.csr_matrix, np.ndarray, np.ndarray | None]]:
         """``(matrix, vocabulary, moved rows)`` per (scheme, attribute) query:
-        :meth:`attribute_matrix` with :meth:`moved_rows` since ``since``,
-        the stale schemes among the queries brought up to date together."""
-        stale = [
-            (scheme, self._kept[scheme])
-            for scheme in dict.fromkeys(scheme for scheme, _ in queries)
-            if self._stale(self._kept.get(scheme))
-        ]
-        rederived = self._advance(stale)
-        return [
-            (
-                *self._kept_payload(scheme, attribute, rederived),
+        :meth:`attribute_matrix` with :meth:`moved_rows` since ``since``.
+        The schemes among the queries are brought up to date together, each
+        scheme's rows derived once for all of its attributes."""
+        requested: dict[WalkScheme, dict[str, None]] = {}
+        for scheme, attribute in queries:
+            requested.setdefault(scheme, {})[attribute] = None
+        rederived = self._advance(requested)
+        views = []
+        for scheme, attribute in queries:
+            if (scheme, attribute) not in rederived:
+                self._cache_hits["attr"].inc()
+            views.append((
+                *self._kept[scheme].matrices[attribute],
                 self.moved_rows(scheme, attribute, since),
-            )
-            for scheme, attribute in queries
-        ]
+            ))
+        return views
 
     def moved_rows(
         self, scheme: WalkScheme, attribute: str, since: int | None
@@ -555,59 +470,72 @@ class WalkEngine:
             marks[delta.rows[scheme.start_relation]] = True
         return marks
 
-    def _advance(self, stale: list[tuple[WalkScheme, _KeptScheme]]) -> set:
-        """Bring kept matrices to the current journal position.
+    def _advance(self, requested: dict[WalkScheme, dict[str, None]]) -> set:
+        """Bring the kept matrices of the requested schemes, and the
+        requested attributes of them, to the current journal position.
 
-        Per scheme, the rows any kept attribute has moved are re-derived
-        once for all its attributes; the products with the columns'
-        indicator matrices of every (scheme, attribute) then run as one
-        accumulation, and each attribute with a moved row gets its rows
-        spliced in.  Returns those (scheme, attribute) pairs.  A scheme
-        whose moved rows are unknown drops its kept matrices, to be rebuilt
-        on request.
+        Per scheme, the rows any of its attributes has moved are derived
+        once for all of them; the products with the columns' codes of every
+        (scheme, attribute) then run as one accumulation, and each attribute
+        with a moved row gets its rows spliced in.  Every row counts as
+        moved for an attribute with no kept matrix, for one kept in a
+        numbering since renumbered, and for one whose moved rows are
+        unknown.  Returns the re-derived (scheme, attribute) pairs.
         """
-        position = self.compiled.position
+        compiled = self.compiled
+        position = compiled.position
         parts, block_rows, codes, masses = [], [], [], []
         offset = width = 0
-        for scheme, kept in stale:
-            attributes = list(kept.matrices)
-            moved = [self.moved_rows(scheme, a, kept.position) for a in attributes]
-            kept.position = position
-            if any(rows is None for rows in moved):
-                kept.matrices.clear()
+        for scheme, wanted in requested.items():
+            kept = self._kept.get(scheme)
+            if kept is None:
+                kept = self._kept[scheme] = _KeptScheme(position)
+            attributes = [*kept.matrices, *(a for a in wanted if a not in kept.matrices)]
+            if kept.position == position and len(attributes) == len(kept.matrices):
                 continue
-            n_rows = self.compiled.relations[scheme.start_relation].num_rows
-            columns = self.compiled.relations[scheme.end_relation].columns
-            changed = [a for a, rows in zip(attributes, moved) if rows.any()]
+            renumbered = kept.position < compiled.generation_start
+            marks = [
+                None if renumbered or attribute not in kept.matrices
+                else self.moved_rows(scheme, attribute, kept.position)
+                for attribute in attributes
+            ]
+            kept.position = position
+            n_rows = compiled.relations[scheme.start_relation].num_rows
+            columns = compiled.relations[scheme.end_relation].columns
+            changed = [a for a, moved in zip(attributes, marks) if moved is None or moved.any()]
+            vocabs = {}
             for attribute in attributes:
-                matrix, vocab = kept.matrices[attribute]
-                if len(columns[attribute].vocab) != vocab.size:
-                    # codes only append between renumberings: a longer
-                    # vocabulary keeps every code's value
+                matrix, vocab = kept.matrices.get(attribute, (None, None))
+                if vocab is None or renumbered or len(columns[attribute].vocab) != vocab.size:
                     vocab = columns[attribute].vocab_array()
-                    matrix = sparse.csr_matrix(
-                        (matrix.data, matrix.indices, matrix.indptr),
-                        shape=(matrix.shape[0], vocab.size),
-                    )
-                    kept.matrices[attribute] = (matrix, vocab)
+                    if attribute not in changed:
+                        # codes only append between renumberings: a longer
+                        # vocabulary keeps every code's value
+                        shape = (n_rows, vocab.size)
+                        kept.matrices[attribute] = (
+                            _csr((matrix.indptr, matrix.indices, matrix.data), shape), vocab
+                        )
+                vocabs[attribute] = vocab
             self._rows_kept.inc(n_rows * (len(attributes) - len(changed)))
             if not changed:
                 continue
-            rows = np.flatnonzero(np.logical_or.reduce(moved))
+            if any(moved is None for moved in marks):
+                rows = np.arange(n_rows)
+            else:
+                rows = np.flatnonzero(np.logical_or.reduce(marks))
             indptr, indices, data = self._destination_rows(scheme, rows)
             # block row ``offset + i`` is row ``rows[i]`` of one attribute:
             # each entry's mass goes to its destination's code, ⊥
             # destinations drop out
             owners = np.repeat(np.arange(rows.size), np.diff(indptr))
-            ends = indices.tolist()
             for attribute in changed:
                 column = columns[attribute]
-                row_codes = np.array(list(map(column.codes.__getitem__, ends)), dtype=np.int64)
+                row_codes = _codes_at(column, indices)
                 valued = row_codes >= 0
                 block_rows.append(offset + owners[valued])
                 codes.append(row_codes[valued])
                 masses.append(data[valued])
-                parts.append((scheme, kept, attribute, rows, offset, n_rows))
+                parts.append((scheme, kept, attribute, vocabs[attribute], rows, offset, n_rows))
                 offset += rows.size
                 width = max(width, len(column.vocab))
         if not parts:
@@ -617,21 +545,24 @@ class WalkEngine:
             np.concatenate(masses), width,
         )
         b_data = _normalized(b_indptr, b_data)
-        for scheme, kept, attribute, rows, start, n_rows in parts:
+        for scheme, kept, attribute, vocab, rows, start, n_rows in parts:
             self._cache_misses["attr"].inc()
             self._rows_rederived.inc(rows.size)
             self._rows_kept.inc(n_rows - rows.size)
-            matrix, vocab = kept.matrices[attribute]
             bounds = b_indptr[start : start + rows.size + 1]
             lo, hi = bounds[0], bounds[-1]
             block = (bounds - lo, b_indices[lo:hi], b_data[lo:hi])
+            shape = (n_rows, vocab.size)
             kept.matrices[attribute] = (
-                _splice(matrix, rows, block, (n_rows, vocab.size)), vocab
+                _csr(block, shape) if rows.size == n_rows
+                else _splice(kept.matrices[attribute][0], rows, block, shape),
+                vocab,
             )
         return {(scheme, attribute) for scheme, _kept, attribute, *_rest in parts}
 
     def _destination_rows(self, scheme: WalkScheme, rows: np.ndarray) -> Block:
-        """Rows ``rows`` of :meth:`destination_matrix`, bit for bit.
+        """Rows ``rows`` of the normalised chain ``I · T_1 ⋯ T_l``, bit for
+        bit as scipy's sparse products compute the whole chain.
 
         scipy's sparse product computes each output row from one row of the
         left factor alone, so the chain of products over the selected rows

@@ -104,19 +104,9 @@ def load_compiled(db: Database, path: str | Path, verify: bool = True) -> Compil
             )
 
     compiled = CompiledDatabase.__new__(CompiledDatabase)
-    compiled.db = db
-    compiled.schema = db.schema
-    compiled.version = 0
-    compiled.rel_versions = {name: 0 for name in db.schema.relation_names}
-    compiled.fk_versions = {fk.name: 0 for fk in db.schema.foreign_keys}
-    compiled._fk_array_cache = {}
-    compiled._start_journal()
     # the snapshot does not record the database's mutation counter, so the
     # restored state has no known sync point; the first refresh scans
-    compiled._synced_db_version = None
-    compiled.set_telemetry(None)
-
-    compiled.relations = {}
+    compiled._bind(db, None)
     for i, rel_name in enumerate(manifest["relations"]):
         relation = CompiledRelation(db.schema.relation(rel_name))
         fact_ids = data[f"rel{i}_fact_ids"]

@@ -194,10 +194,11 @@ class TestRefresh:
         engine.add_facts([studio])
         assert engine.step_matrix(step) is before  # cache hit, same object
         scheme = WalkScheme("COLLABORATIONS", (step,))
-        mass_before = engine._mass_matrix(scheme)
+        kept_before, _vocab = engine.attribute_matrix(scheme, "name")
         db.insert("STUDIOS", {"sid": "s43", "name": "Indie2", "loc": "EU"})
         engine.refresh()
-        assert engine._mass_matrix(scheme) is mass_before
+        # no row of the kept matrix moved: it is returned as is
+        assert engine.attribute_matrix(scheme, "name")[0] is kept_before
 
 
 class TestRandomizedChurnEquivalence:

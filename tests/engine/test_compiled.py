@@ -188,9 +188,9 @@ class TestWalkerCacheKeying:
         both misses structurally equal schemes and can collide after
         garbage collection."""
         engine = WalkEngine(db)
-        first = engine._mass_matrix(WalkScheme("ACTORS"))
-        second = engine._mass_matrix(WalkScheme("ACTORS"))
-        assert second is first  # distinct but equal scheme objects hit the cache
+        first, _vocab = engine.attribute_matrix(WalkScheme("ACTORS"), "name")
+        second, _vocab = engine.attribute_matrix(WalkScheme("ACTORS"), "name")
+        assert second is first  # distinct but equal scheme objects share one kept matrix
 
     def test_walk_scheme_hashable(self, db):
         scheme_a = WalkScheme("ACTORS")

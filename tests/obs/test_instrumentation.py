@@ -66,18 +66,19 @@ class TestEngineCounters:
             s for s in enumerate_walk_schemes(movies_db.schema, "MOVIES", 1)
             if len(s.steps) == 1
         )
-        engine.destination_matrix(scheme)  # mass miss + step miss
-        engine.destination_matrix(scheme)  # mass hit
+        attribute = movies_db.schema.relation(scheme.end_relation).attribute_names[0]
+        engine.attribute_matrix(scheme, attribute)  # attr miss + step miss
+        engine.attribute_matrix(scheme, attribute)  # attr hit
         fact = movies_db.facts("MOVIES")[0]
         movies_db.delete(fact)
         engine.remove_facts([fact])
-        engine.destination_matrix(scheme)  # signature changed: mass miss again
+        engine.attribute_matrix(scheme, attribute)  # its row moved: re-derivation miss
         counters = _counters(telemetry)
-        assert counters["engine.cache.mass.misses"] == 2
-        assert counters["engine.cache.mass.hits"] == 1
+        assert counters["engine.cache.attr.misses"] == 2
+        assert counters["engine.cache.attr.hits"] == 1
         assert counters["engine.tombstones"] == 1
         ratios = cache_hit_ratios(telemetry)
-        assert ratios["mass"] == {"hits": 1, "misses": 2, "hit_ratio": 1 / 3}
+        assert ratios["attr"] == {"hits": 1, "misses": 2, "hit_ratio": 1 / 3}
 
     def test_compile_refresh_and_compaction_counters(self, movies_db):
         telemetry = Telemetry()
