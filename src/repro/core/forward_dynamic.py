@@ -327,9 +327,7 @@ class ForwardDynamicExtender:
         :func:`_expected_kernels` and the system is solved by least squares.
         """
         engine = self.engine
-        if not engine.compiled.has_fact(fact) or engine.compiled.num_facts != len(self.db):
-            # insertions the caller did not pass to notify_inserted; catch up
-            engine.refresh()
+        engine.refresh()  # catch up on mutations the caller did not notify
         row = engine.compiled.relations[self.model.relation].row_of[fact.fact_id]
         trained_rows = self._trained_rows()
         fact_ids = np.asarray(self.model.fact_ids, dtype=np.int64)
@@ -409,11 +407,7 @@ class ForwardDynamicExtender:
             return {}
         engine = self.engine
         compiled = engine.compiled
-        if compiled.num_facts != len(self.db) or not all(
-            compiled.has_fact(fact) for fact in facts
-        ):
-            # insertions the caller did not pass to notify_inserted; catch up
-            engine.refresh()
+        engine.refresh()  # catch up on mutations the caller did not notify
         telemetry = engine.telemetry
         metrics = telemetry.metrics
         fact_ids = np.fromiter((fact.fact_id for fact in facts), np.int64, len(facts))

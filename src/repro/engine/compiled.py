@@ -1,19 +1,26 @@
-"""Compilation of a :class:`~repro.db.database.Database` into flat arrays.
+"""Compilation of a :class:`~repro.db.database.Database` into numpy arrays.
 
 The object-per-fact representation of :mod:`repro.db` is convenient for
 constraint checking and incremental maintenance, but it makes the random-walk
 hot path (Section V-A) traverse boxed :class:`Fact` objects one at a time.
-This module compiles a database into integer arrays once, so the walk
+This module compiles a database into numpy arrays once, so the walk
 machinery can run as vectorised array programs:
 
-* every relation gets a dense row numbering of its facts (``fact_ids`` /
-  ``row_of``);
-* every foreign key gets a forward pointer array ``fk_target_rows[fk]`` —
-  for each source row the row of the referenced target fact, or ``-1`` for a
-  dangling/null reference — from which forward and backward transition
+* every relation gets a dense row numbering of its facts (``fact_ids``, an
+  int64 array holding ``-1`` at a deleted fact's row, and the dict ``row_of``);
+* every foreign key gets a forward pointer array ``fk_target_rows(fk)`` (int64)
+  — for each source row the row of the referenced target fact, or ``-1`` for
+  a dangling/null reference — from which forward and backward transition
   matrices in CSR form are derived;
-* every ``(relation, attribute)`` column is dictionary-encoded into integer
-  codes over a per-column vocabulary (``-1`` encodes ⊥).
+* every ``(relation, attribute)`` column is dictionary-encoded into int64
+  ``codes`` over a per-column vocabulary ``vocab`` (an object array; ``-1``
+  encodes ⊥).
+
+Compilation, compaction and snapshot restore build each array in one pass.
+Inserts append into buffers that double when full (:func:`_put`), exposed as
+length-``n`` views: an append writes past every view's end and compaction
+allocates new arrays, so a vocabulary view never changes once handed out.
+Deletions and updates rewrite fact ids, codes and pointers in place.
 
 The compiled form supports the full CRUD cycle incrementally:
 
@@ -39,16 +46,15 @@ every row touched since any journal position, across compactions too.
 replaying its bounded changelog (``Database.changes_since``), so a refresh
 costs O(changes) — and O(1) when nothing changed — instead of a full
 database scan.  Alongside the global ``version`` (bumped by every mutation)
-the compiled form keeps *per-foreign-key* dirty counters so the pointer
-arrays and step matrices keyed on them survive mutations that cannot have
-affected them.
+the compiled form keeps *per-foreign-key* dirty counters so the step
+matrices keyed on them survive mutations that cannot have affected them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,20 +65,64 @@ from repro.obs import NULL_TELEMETRY, Telemetry
 Value = Any
 
 
+def _put(buffer: np.ndarray, n: int, value: Any) -> np.ndarray:
+    """``buffer`` with ``value`` written at ``n``, its first unused slot.
+
+    A full buffer is first copied into a new one of twice the capacity, and
+    the old one is left as it was.  No slot below ``n`` is written, so a
+    length-``n`` view handed out earlier keeps what it showed.
+    """
+    if n == buffer.size:
+        grown = np.empty(max(2 * n, 8), dtype=buffer.dtype)
+        grown[:n] = buffer[:n]
+        buffer = grown
+    buffer[n] = value
+    return buffer
+
+
 class ValueColumn:
     """Dictionary-encoded values of one ``(relation, attribute)`` column.
 
-    ``codes[row]`` is the index of the row's value in ``vocab``, or ``-1``
-    when the value is ⊥ (None).  The vocabulary grows append-only so codes
-    remain stable under incremental extension.
+    ``codes[row]`` (int64) is the index of the row's value in ``vocab`` (an
+    object array), or ``-1`` when the value is ⊥ (None).  The vocabulary
+    grows append-only between compactions, so codes remain stable under
+    incremental extension.
     """
 
-    __slots__ = ("codes", "vocab", "code_of")
+    __slots__ = ("_codes", "_vocab", "_size", "code_of")
 
-    def __init__(self) -> None:
-        self.codes: list[int] = []
-        self.vocab: list[Value] = []
-        self.code_of: dict[Value, int] = {}
+    def __init__(self, values: Sequence[Value] = ()):
+        """A column holding ``values`` in order, encoded in one pass; the
+        vocabulary is in order of first use."""
+        code_of: dict[Value, int] = {}
+        self._codes = np.fromiter(
+            (-1 if value is None else code_of.setdefault(value, len(code_of))
+             for value in values),
+            dtype=np.int64,
+            count=len(values),
+        )
+        self._vocab = np.fromiter(code_of, dtype=object, count=len(code_of))
+        self._size = len(values)
+        self.code_of = code_of
+
+    @classmethod
+    def from_arrays(cls, codes: np.ndarray, vocab: np.ndarray) -> "ValueColumn":
+        """A column over stored ``codes`` and ``vocab``, kept as given."""
+        column = cls()
+        column._hold(codes, vocab)
+        return column
+
+    def _hold(self, codes: np.ndarray, vocab: np.ndarray) -> None:
+        self._codes, self._vocab, self._size = codes, vocab, codes.size
+        self.code_of = {value: code for code, value in enumerate(vocab.tolist())}
+
+    @property
+    def codes(self) -> np.ndarray:
+        return self._codes[: self._size]
+
+    @property
+    def vocab(self) -> np.ndarray:
+        return self._vocab[: len(self.code_of)]
 
     def code_for(self, value: Value) -> int:
         """The code of ``value`` (⊥ is ``-1``), growing the vocabulary."""
@@ -80,83 +130,80 @@ class ValueColumn:
             return -1
         code = self.code_of.get(value)
         if code is None:
-            code = len(self.vocab)
+            code = len(self.code_of)
+            self._vocab = _put(self._vocab, code, value)
             self.code_of[value] = code
-            self.vocab.append(value)
         return code
 
     def append(self, value: Value) -> None:
-        self.codes.append(self.code_for(value))
+        self._codes = _put(self._codes, self._size, self.code_for(value))
+        self._size += 1
 
     def set(self, row: int, value: Value) -> bool:
         """Re-encode one row's value in place; returns True when it changed."""
         code = self.code_for(value)
-        if self.codes[row] == code:
+        if self._codes[row] == code:
             return False
-        self.codes[row] = code
+        self._codes[row] = code
         return True
 
     def compact(self, keep: np.ndarray) -> None:
         """Keep the rows ``keep`` marks; the vocabulary is rebuilt in order of
         first use by the kept rows, as a fresh compilation would build it."""
-        codes = self.codes_array()[keep]
+        codes = self.codes[keep]
         used, first = np.unique(codes[codes >= 0], return_index=True)
         order = used[np.argsort(first)]
-        remap = np.full(len(self.vocab) + 1, -1, dtype=np.int64)  # [-1] stays ⊥
+        remap = np.full(len(self.code_of) + 1, -1, dtype=np.int64)  # [-1] stays ⊥
         remap[order] = np.arange(order.size)
-        self.codes = remap[codes].tolist()
-        self.vocab = [self.vocab[code] for code in order.tolist()]
-        self.code_of = {value: code for code, value in enumerate(self.vocab)}
-
-    def codes_array(self) -> np.ndarray:
-        return np.asarray(self.codes, dtype=np.int64)
-
-    def vocab_array(self) -> np.ndarray:
-        out = np.empty(len(self.vocab), dtype=object)
-        out[:] = self.vocab
-        return out
-
-    def __len__(self) -> int:
-        return len(self.codes)
+        self._hold(remap[codes], self._vocab[order])
 
 
 class CompiledRelation:
     """The facts of one relation, numbered densely and column-encoded.
 
-    Deleted facts are *tombstoned*: their row keeps its number (``num_rows``
-    never shrinks outside compaction) but ``alive[row]`` turns false, the
-    ``fact_ids`` slot is cleared to ``-1`` and the ``row_of`` entry is
-    dropped, so tombstoned rows are unreachable by fact id.
+    ``fact_ids`` is an int64 array over the ``num_rows`` rows, tombstones
+    included.  Deleted facts are *tombstoned*: their row keeps its number
+    (``num_rows`` never shrinks outside compaction) but its ``fact_ids``
+    slot is cleared to ``-1`` (``alive`` is ``fact_ids >= 0``) and its
+    ``row_of`` entry is dropped, so tombstoned rows are unreachable by fact
+    id.
     """
 
-    __slots__ = ("schema", "fact_ids", "row_of", "columns", "alive", "num_dead")
+    __slots__ = ("schema", "columns", "num_rows", "_fact_ids", "row_of")
 
-    def __init__(self, schema: RelationSchema):
+    def __init__(
+        self, schema: RelationSchema, fact_ids: np.ndarray, columns: dict[str, ValueColumn]
+    ):
+        """Live rows ``fact_ids`` with their ``columns``, in schema order."""
         self.schema = schema
-        self.fact_ids: list[int] = []
-        self.row_of: dict[int, int] = {}
-        self.columns: dict[str, ValueColumn] = {
-            name: ValueColumn() for name in schema.attribute_names
-        }
-        self.alive: list[bool] = []
-        self.num_dead = 0
+        self.columns = columns
+        self._hold(fact_ids)
+
+    def _hold(self, fact_ids: np.ndarray) -> None:
+        """Number the live rows ``fact_ids`` densely."""
+        self.num_rows = fact_ids.size
+        self._fact_ids = fact_ids
+        self.row_of = dict(zip(fact_ids.tolist(), range(fact_ids.size)))
 
     @property
-    def num_rows(self) -> int:
-        """Total rows, tombstones included (the compiled row-space size)."""
-        return len(self.fact_ids)
+    def fact_ids(self) -> np.ndarray:
+        return self._fact_ids[: self.num_rows]
 
     @property
-    def num_alive(self) -> int:
-        return len(self.fact_ids) - self.num_dead
+    def alive(self) -> np.ndarray:
+        return self.fact_ids >= 0
+
+    @property
+    def num_dead(self) -> int:
+        return self.num_rows - len(self.row_of)
 
     def append(self, fact: Fact) -> int:
-        row = len(self.fact_ids)
+        row = self.num_rows
+        self._fact_ids = _put(self._fact_ids, row, fact.fact_id)
         self.row_of[fact.fact_id] = row
-        self.fact_ids.append(fact.fact_id)
-        self.alive.append(True)
         for name, value in zip(self.schema.attribute_names, fact.values):
             self.columns[name].append(value)
+        self.num_rows = row + 1
         return row
 
     def tombstone(self, fact_id: int) -> int | None:
@@ -164,29 +211,18 @@ class CompiledRelation:
         row = self.row_of.pop(fact_id, None)
         if row is None:
             return None
-        self.alive[row] = False
-        self.fact_ids[row] = -1
-        self.num_dead += 1
+        self._fact_ids[row] = -1
         return row
 
     def compact(self) -> np.ndarray:
         """Drop tombstoned rows, keeping the others in order; returns each old
         row's new row (``-1`` for a dropped one)."""
-        keep = self.alive_array()
+        keep = self.alive
         new_rows = np.where(keep, np.cumsum(keep) - 1, -1)
-        self.fact_ids = [fid for fid, alive in zip(self.fact_ids, self.alive) if alive]
-        self.row_of = {fid: row for row, fid in enumerate(self.fact_ids)}
-        self.alive = [True] * len(self.fact_ids)
-        self.num_dead = 0
         for column in self.columns.values():
             column.compact(keep)
+        self._hold(self.fact_ids[keep])
         return new_rows
-
-    def alive_array(self) -> np.ndarray:
-        return np.asarray(self.alive, dtype=bool)
-
-    def fact_ids_array(self) -> np.ndarray:
-        return np.asarray(self.fact_ids, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -207,14 +243,15 @@ class RowDelta:
 
 
 class CompiledDatabase:
-    """Flat-array view of a database, kept in sync by incremental mutation.
+    """Columnar view of a database, kept in sync by incremental mutation.
 
     The backing :class:`Database` stays the source of truth; the compiled
-    arrays are a performance structure.  ``version`` increases on every
-    mutation; ``fk_versions`` increase only when the named foreign key was
-    actually touched, so the pointer arrays and per-step transition matrices
-    of untouched foreign keys survive unrelated mutations.  What a mutation
-    touched, row by row, is read from the journal
+    numpy columns (:class:`CompiledRelation`, :class:`ValueColumn`,
+    :meth:`fk_target_rows`) are a performance structure.  ``version``
+    increases on every mutation; ``fk_versions`` increase only when the
+    named foreign key was actually touched, so the per-step transition
+    matrices of untouched foreign keys survive unrelated mutations.  What a
+    mutation touched, row by row, is read from the journal
     (:meth:`changes_since`), which keeps the walk engine's attribute
     matrices current by rows.
     """
@@ -233,18 +270,17 @@ class CompiledDatabase:
 
     def _bind(self, db: Database, telemetry: Telemetry | None) -> None:
         """Bind to ``db`` with no rows and fresh bookkeeping: version and
-        dirty counters at 0, no cached pointer arrays, an empty journal at
-        position 0, no known sync point with the database, and
-        ``telemetry``.  Compilation or a snapshot restore fills the rows."""
+        dirty counters at 0, an empty journal at position 0, no known sync
+        point with the database, and ``telemetry``.  Compilation or a
+        snapshot restore fills the rows."""
         self.db = db
         self.schema = db.schema
         self.relations: dict[str, CompiledRelation] = {}
-        self.fk_target_rows: dict[str, list[int]] = {}
+        self._pointers: dict[str, np.ndarray] = {}
         self.version = 0
         self.fk_versions: dict[str, int] = {
             fk.name: 0 for fk in db.schema.foreign_keys
         }
-        self._fk_array_cache: dict[str, tuple[int, np.ndarray]] = {}
         self._synced_db_version: int | None = None
         self._fks = {fk.name: fk for fk in self.schema.foreign_keys}
         self._journal: list[tuple] = []
@@ -277,22 +313,26 @@ class CompiledDatabase:
         self._journal_base = self.position + 1
         self._journal = []
         self.generation_start = self._journal_base
-        self.relations = {rel.name: CompiledRelation(rel) for rel in self.schema}
-        for rel_name in self.schema.relation_names:
-            compiled_rel = self.relations[rel_name]
-            for fact in self.db.facts(rel_name):
-                compiled_rel.append(fact)
-        self.fk_target_rows = {}
+        facts = {rel.name: self.db.facts(rel.name) for rel in self.schema}
+        self.relations = {}
+        for rel in self.schema:
+            rel_facts = facts[rel.name]
+            names = rel.attribute_names
+            values = list(zip(*(fact.values for fact in rel_facts))) or [()] * len(names)
+            self.relations[rel.name] = CompiledRelation(
+                rel,
+                np.fromiter((fact.fact_id for fact in rel_facts), np.int64, len(rel_facts)),
+                {name: ValueColumn(column) for name, column in zip(names, values)},
+            )
+        self._pointers = {}
         for fk in self.schema.foreign_keys:
-            target_rel = self.relations[fk.target]
-            pointers: list[int] = []
-            for fact_id in self.relations[fk.source].fact_ids:
-                target = self.db.referenced_fact(self.db.fact(fact_id), fk)
-                if target is None:
-                    pointers.append(-1)
-                else:
-                    pointers.append(target_rel.row_of[target.fact_id])
-            self.fk_target_rows[fk.name] = pointers
+            target_rows = self.relations[fk.target].row_of
+            targets = (self.db.referenced_fact(fact, fk) for fact in facts[fk.source])
+            self._pointers[fk.name] = np.fromiter(
+                (-1 if target is None else target_rows[target.fact_id] for target in targets),
+                dtype=np.int64,
+                count=len(facts[fk.source]),
+            )
         for name in self.fk_versions:
             self.fk_versions[name] += 1
         self._synced_db_version = getattr(self.db, "version", None)
@@ -386,24 +426,16 @@ class CompiledDatabase:
     @property
     def num_facts(self) -> int:
         """Live (non-tombstoned) facts across all relations."""
-        return sum(rel.num_alive for rel in self.relations.values())
+        return sum(len(rel.row_of) for rel in self.relations.values())
 
     def has_fact(self, fact: Fact | int) -> bool:
         if isinstance(fact, Fact):
             return fact.fact_id in self.relations[fact.relation].row_of
         return any(fact in rel.row_of for rel in self.relations.values())
 
-    def relation(self, name: str) -> CompiledRelation:
-        return self.relations[name]
-
-    def fk_pointer_array(self, fk_name: str) -> np.ndarray:
-        hit = self._fk_array_cache.get(fk_name)
-        dirty = self.fk_versions[fk_name]
-        if hit is not None and hit[0] == dirty:
-            return hit[1]
-        array = np.asarray(self.fk_target_rows[fk_name], dtype=np.int64)
-        self._fk_array_cache[fk_name] = (dirty, array)
-        return array
+    def fk_target_rows(self, fk_name: str) -> np.ndarray:
+        """The target row of every source row of ``fk_name`` (``-1``: none)."""
+        return self._pointers[fk_name][: self.relations[self._fks[fk_name].source].num_rows]
 
     # ------------------------------------------------------------ extension
 
@@ -427,10 +459,10 @@ class CompiledDatabase:
                 pointer = -1
             else:
                 pointer = self.relations[fk.target].row_of.get(target.fact_id, -1)
-            self.fk_target_rows[fk.name].append(pointer)
+            self._pointers[fk.name] = _put(self._pointers[fk.name], row, pointer)
             self._log_link(fk, row, -1, pointer)
         for fk in self.schema.foreign_keys_to(fact.relation):
-            pointers = self.fk_target_rows[fk.name]
+            pointers = self._pointers[fk.name]
             source_rel = self.relations[fk.source]
             for source in self.db.referencing_facts(fact, fk):
                 source_row = source_rel.row_of.get(source.fact_id)
@@ -490,17 +522,16 @@ class CompiledDatabase:
             self._log((rel_name, fact_id, row, None))
             doomed.setdefault(rel_name, set()).add(row)
             for fk in self.schema.foreign_keys_from(rel_name):
-                self._log_link(fk, row, self.fk_target_rows[fk.name][row], -1)
-                self.fk_target_rows[fk.name][row] = -1
+                pointers = self._pointers[fk.name]
+                self._log_link(fk, row, pointers[row], -1)
+                pointers[row] = -1
         if not removed:
             return 0
         for rel_name, rows in doomed.items():
+            dead = np.fromiter(rows, dtype=np.int64)
             for fk in self.schema.foreign_keys_to(rel_name):
-                pointers = self.fk_target_rows[fk.name]
-                dead = np.fromiter(rows, dtype=np.int64)
-                stale = np.nonzero(
-                    np.isin(np.asarray(pointers, dtype=np.int64), dead)
-                )[0]
+                pointers = self._pointers[fk.name]
+                stale = np.flatnonzero(np.isin(self.fk_target_rows(fk.name), dead))
                 for source_row in stale.tolist():
                     self._log_link(fk, source_row, pointers[source_row], -1)
                     pointers[source_row] = -1
@@ -536,13 +567,11 @@ class CompiledDatabase:
         with self.telemetry.span("engine.compact"):
             new_rows = {name: rel.compact() for name, rel in self.relations.items()}
             for fk in self.schema.foreign_keys:
-                pointers = np.asarray(self.fk_target_rows[fk.name], dtype=np.int64)
+                kept = new_rows[fk.source] >= 0
                 # no pointer targets a tombstone (removal repaired them), and
                 # a dangling -1 reads the appended -1
                 remap = np.append(new_rows[fk.target], -1)
-                self.fk_target_rows[fk.name] = remap[
-                    pointers[new_rows[fk.source] >= 0]
-                ].tolist()
+                self._pointers[fk.name] = remap[self._pointers[fk.name][: kept.size][kept]]
             for name in self.relations:
                 self._touch_relation(name)
         self._h_compile.observe(time.perf_counter() - started)
@@ -588,18 +617,15 @@ class CompiledDatabase:
                 if target is None
                 else self.relations[fk.target].row_of.get(target.fact_id, -1)
             )
-            pointers = self.fk_target_rows[fk.name]
+            pointers = self._pointers[fk.name]
             if pointers[row] != pointer:
                 self._log_link(fk, row, pointers[row], pointer)
                 pointers[row] = pointer
                 self.fk_versions[fk.name] += 1
                 fk_changed = True
         for fk in self.schema.foreign_keys_to(fact.relation):
-            pointers = self.fk_target_rows[fk.name]
-            old_rows = {
-                int(i)
-                for i in np.nonzero(np.asarray(pointers, dtype=np.int64) == row)[0]
-            }
+            pointers = self._pointers[fk.name]
+            old_rows = set(np.flatnonzero(self.fk_target_rows(fk.name) == row).tolist())
             source_rel = self.relations[fk.source]
             new_rows = set()
             for source in self.db.referencing_facts(db_fact, fk):
@@ -698,19 +724,21 @@ class CompiledDatabase:
             self._compile()
             self.version += 1
             return True
-        stale: list[Fact] = []
-        for relation in self.relations.values():
-            attribute_names = relation.schema.attribute_names
-            columns = [relation.columns[name] for name in attribute_names]
-            for fact_id, row in relation.row_of.items():
-                fact = self.db._facts_by_id[fact_id]  # noqa: SLF001
-                for column, value in zip(columns, fact.values):
-                    code = column.codes[row]
-                    stored = None if code < 0 else column.vocab[code]
-                    if stored != value:
-                        stale.append(fact)
-                        break
+        stale = list(self.stale_facts())
         self.update_facts(stale)
         if missing:
             self.add_facts(missing)
         return bool(missing) or bool(stale)
+
+    def stale_facts(self) -> Iterator[Fact]:
+        """The compiled facts whose encoded values differ from the database's."""
+        for relation in self.relations.values():
+            columns = [
+                (relation.columns[name].codes.tolist(), relation.columns[name].vocab.tolist())
+                for name in relation.schema.attribute_names
+            ]
+            for fact_id, row in relation.row_of.items():
+                fact = self.db._facts_by_id[fact_id]  # noqa: SLF001
+                stored = (None if codes[row] < 0 else vocab[codes[row]] for codes, vocab in columns)
+                if tuple(stored) != fact.values:
+                    yield fact

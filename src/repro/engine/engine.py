@@ -48,7 +48,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.db.database import Database, Fact
-from repro.engine.compiled import CompiledDatabase, RowDelta, ValueColumn
+from repro.engine.compiled import CompiledDatabase, RowDelta
 from repro.obs import ENGINE_CACHE_KINDS, NULL_TELEMETRY, Telemetry
 from repro.walks.schemes import Direction, WalkScheme, WalkStep
 
@@ -113,15 +113,6 @@ def _times(block: Block, matrix: sparse.csr_matrix) -> Block:
         np.repeat(data, counts) * matrix.data[entries],
         matrix.shape[1],
     )
-
-
-def _codes_at(column: ValueColumn, rows: np.ndarray) -> np.ndarray:
-    """The codes of a column's rows ``rows``, looked up one by one or, when
-    they are many, gathered from the whole column as an array."""
-    if 2 * rows.size < len(column.codes):
-        codes = column.codes
-        return np.fromiter(map(codes.__getitem__, rows.tolist()), np.int64, rows.size)
-    return column.codes_array()[rows]
 
 
 def _index_dtype(shape: tuple[int, int], nnz: int) -> type:
@@ -298,7 +289,7 @@ class WalkEngine:
             self._cache_hits["step"].inc()
             return hit[1]
         self._cache_misses["step"].inc()
-        pointers = self.compiled.fk_pointer_array(fk.name)
+        pointers = self.compiled.fk_target_rows(fk.name)
         n_source = self.compiled.relations[fk.source].num_rows
         n_target = self.compiled.relations[fk.target].num_rows
         has_link = pointers >= 0
@@ -454,7 +445,7 @@ class WalkEngine:
             marks[end_rows] = True
         for step in reversed(steps):
             fk = step.foreign_key
-            pointers = compiled.fk_pointer_array(fk.name)
+            pointers = compiled.fk_target_rows(fk.name)
             before = np.zeros(compiled.relations[step.from_relation].num_rows, dtype=bool)
             if step.direction is Direction.FORWARD:
                 linked = pointers >= 0
@@ -506,8 +497,9 @@ class WalkEngine:
             vocabs = {}
             for attribute in attributes:
                 matrix, vocab = kept.matrices.get(attribute, (None, None))
-                if vocab is None or renumbered or len(columns[attribute].vocab) != vocab.size:
-                    vocab = columns[attribute].vocab_array()
+                current = columns[attribute].vocab
+                if vocab is None or renumbered or current.size != vocab.size:
+                    vocab = current
                     if attribute not in changed:
                         # codes only append between renumberings: a longer
                         # vocabulary keeps every code's value
@@ -530,7 +522,7 @@ class WalkEngine:
             owners = np.repeat(np.arange(rows.size), np.diff(indptr))
             for attribute in changed:
                 column = columns[attribute]
-                row_codes = _codes_at(column, indices)
+                row_codes = column.codes[indices]
                 valued = row_codes >= 0
                 block_rows.append(offset + owners[valued])
                 codes.append(row_codes[valued])
@@ -572,7 +564,7 @@ class WalkEngine:
         start = self.compiled.relations[scheme.start_relation]
         if not scheme.steps:
             # the identity over live rows: a tombstoned row walks nowhere
-            alive = np.array([start.alive[row] for row in rows.tolist()], dtype=bool)
+            alive = start.alive[rows]
             indptr = np.concatenate(([0], np.cumsum(alive)))
             block = (indptr, rows[alive], np.ones(int(alive.sum())))
         else:

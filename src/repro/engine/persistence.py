@@ -8,7 +8,8 @@ per-relation fact numberings, dictionary-encoded value columns, and
 foreign-key pointer arrays — into a single ``.npz`` file;
 :func:`load_compiled` restores it against a live :class:`Database` without
 recompiling, so all downstream matrices (and therefore all distributions)
-are bit-identical to the pre-restart engine's.
+are bit-identical to the pre-restart engine's.  The compiled columns are
+numpy arrays, so they are written and restored as they are.
 
 The snapshot stores *compiled state*, not the data itself: loading validates
 the snapshot against the backing database and refuses to restore against a
@@ -44,7 +45,7 @@ def save_compiled(compiled: CompiledDatabase, path: str | Path) -> Path:
         for rel_name in relation_names
         for attr_name in compiled.relations[rel_name].columns
     ]
-    fk_names = list(compiled.fk_target_rows.keys())
+    fk_names = [fk.name for fk in compiled.schema.foreign_keys]
     manifest = {
         "format": FORMAT_VERSION,
         "relations": relation_names,
@@ -53,13 +54,13 @@ def save_compiled(compiled: CompiledDatabase, path: str | Path) -> Path:
     }
     arrays: dict[str, np.ndarray] = {"manifest": np.array(json.dumps(manifest))}
     for i, rel_name in enumerate(relation_names):
-        arrays[f"rel{i}_fact_ids"] = compiled.relations[rel_name].fact_ids_array()
+        arrays[f"rel{i}_fact_ids"] = compiled.relations[rel_name].fact_ids
     for j, (rel_name, attr_name) in enumerate(columns):
         column = compiled.relations[rel_name].columns[attr_name]
-        arrays[f"col{j}_codes"] = column.codes_array()
-        arrays[f"col{j}_vocab"] = column.vocab_array()
+        arrays[f"col{j}_codes"] = column.codes
+        arrays[f"col{j}_vocab"] = column.vocab
     for k, fk_name in enumerate(fk_names):
-        arrays[f"fk{k}_pointers"] = np.asarray(compiled.fk_target_rows[fk_name], dtype=np.int64)
+        arrays[f"fk{k}_pointers"] = compiled.fk_target_rows(fk_name)
     np.savez_compressed(path, **arrays)
     return path
 
@@ -91,55 +92,42 @@ def load_compiled(db: Database, path: str | Path, verify: bool = True) -> Compil
             "engine snapshot does not match the database schema: foreign keys "
             f"{manifest['foreign_keys']} vs {expected_fks}"
         )
-    stored_columns: dict[str, list[str]] = {name: [] for name in schema_relations}
-    for rel_name, attr_name in manifest["columns"]:
-        stored_columns[rel_name].append(attr_name)
-    for rel_name in schema_relations:
-        expected_attrs = list(db.schema.relation(rel_name).attribute_names)
-        if sorted(stored_columns[rel_name]) != sorted(expected_attrs):
+    columns: dict[str, dict[str, ValueColumn]] = {name: {} for name in schema_relations}
+    for j, (rel_name, attr_name) in enumerate(manifest["columns"]):
+        codes = data[f"col{j}_codes"].astype(np.int64, copy=False)
+        columns[rel_name][attr_name] = ValueColumn.from_arrays(codes, data[f"col{j}_vocab"])
+    relations = {}
+    for i, rel_name in enumerate(schema_relations):
+        schema = db.schema.relation(rel_name)
+        stored, expected = sorted(columns[rel_name]), sorted(schema.attribute_names)
+        if stored != expected:
             raise ValueError(
                 f"engine snapshot does not match the database schema: relation "
-                f"{rel_name!r} has columns {sorted(stored_columns[rel_name])} in the "
-                f"snapshot vs attributes {sorted(expected_attrs)} in the schema"
+                f"{rel_name!r} has columns {stored} in the snapshot vs attributes "
+                f"{expected} in the schema"
             )
-
+        fact_ids = data[f"rel{i}_fact_ids"].astype(np.int64, copy=False)
+        for attr_name, column in columns[rel_name].items():
+            if column.codes.size != fact_ids.size:
+                raise ValueError(
+                    f"engine snapshot column {rel_name}.{attr_name} has "
+                    f"{column.codes.size} codes for {fact_ids.size} rows"
+                )
+        in_order = {name: columns[rel_name][name] for name in schema.attribute_names}
+        relations[rel_name] = CompiledRelation(schema, fact_ids, in_order)
+    pointers = {}
+    for k, fk in enumerate(db.schema.foreign_keys):
+        pointers[fk.name] = data[f"fk{k}_pointers"].astype(np.int64, copy=False)
+        if pointers[fk.name].size != relations[fk.source].num_rows:
+            raise ValueError(
+                f"engine snapshot foreign key {fk.name} has {pointers[fk.name].size} "
+                f"pointers for {relations[fk.source].num_rows} source rows"
+            )
     compiled = CompiledDatabase.__new__(CompiledDatabase)
     # the snapshot does not record the database's mutation counter, so the
     # restored state has no known sync point; the first refresh scans
     compiled._bind(db, None)
-    for i, rel_name in enumerate(manifest["relations"]):
-        relation = CompiledRelation(db.schema.relation(rel_name))
-        fact_ids = data[f"rel{i}_fact_ids"]
-        relation.fact_ids = [int(fid) for fid in fact_ids]
-        relation.row_of = {fid: row for row, fid in enumerate(relation.fact_ids)}
-        relation.alive = [True] * len(relation.fact_ids)
-        relation.num_dead = 0
-        compiled.relations[rel_name] = relation
-
-    for j, (rel_name, attr_name) in enumerate(manifest["columns"]):
-        relation = compiled.relations[rel_name]
-        column = ValueColumn()
-        column.codes = [int(c) for c in data[f"col{j}_codes"]]
-        column.vocab = list(data[f"col{j}_vocab"])
-        column.code_of = {value: code for code, value in enumerate(column.vocab)}
-        if len(column.codes) != relation.num_rows:
-            raise ValueError(
-                f"engine snapshot column {rel_name}.{attr_name} has "
-                f"{len(column.codes)} codes for {relation.num_rows} rows"
-            )
-        relation.columns[attr_name] = column
-
-    compiled.fk_target_rows = {
-        fk_name: [int(p) for p in data[f"fk{k}_pointers"]]
-        for k, fk_name in enumerate(manifest["foreign_keys"])
-    }
-    for fk in db.schema.foreign_keys:
-        pointers = compiled.fk_target_rows[fk.name]
-        if len(pointers) != compiled.relations[fk.source].num_rows:
-            raise ValueError(
-                f"engine snapshot foreign key {fk.name} has {len(pointers)} pointers "
-                f"for {compiled.relations[fk.source].num_rows} source rows"
-            )
+    compiled.relations, compiled._pointers = relations, pointers
 
     _validate_against_db(compiled, db, verify_values=verify)
     compiled.refresh()  # append facts inserted after the snapshot was taken
@@ -150,28 +138,20 @@ def _validate_against_db(
     compiled: CompiledDatabase, db: Database, verify_values: bool
 ) -> None:
     for rel_name, relation in compiled.relations.items():
-        for fact_id in relation.fact_ids:
-            if fact_id not in db._facts_by_id:  # noqa: SLF001 - intra-package check
+        for fact_id in relation.fact_ids.tolist():
+            fact = db._facts_by_id.get(fact_id)  # noqa: SLF001 - intra-package check
+            if fact is None:
                 raise ValueError(
                     f"engine snapshot fact {fact_id} of relation {rel_name!r} "
                     "is not in the database; the snapshot describes different data"
                 )
-        if not verify_values:
-            continue
-        attribute_names = relation.schema.attribute_names
-        for row, fact_id in enumerate(relation.fact_ids):
-            fact = db.fact(fact_id)
             if fact.relation != rel_name:
                 raise ValueError(
                     f"fact {fact_id} is in relation {fact.relation!r}, "
                     f"snapshot says {rel_name!r}"
                 )
-            for name, value in zip(attribute_names, fact.values):
-                column = relation.columns[name]
-                code = column.codes[row]
-                stored = None if code < 0 else column.vocab[code]
-                if stored != value:
-                    raise ValueError(
-                        f"engine snapshot value mismatch at {rel_name}.{name} "
-                        f"for fact {fact_id}: snapshot {stored!r} vs database {value!r}"
-                    )
+    for fact in compiled.stale_facts() if verify_values else ():
+        raise ValueError(
+            f"engine snapshot value mismatch for fact {fact.fact_id} of "
+            f"{fact.relation!r}: the database holds {fact.values!r}"
+        )

@@ -123,13 +123,15 @@ class DatabaseGraph:
         tables, so each distinct value is hashed once per column instead of
         once per occurrence.
         """
-        # per (relation, attribute): value-node index per vocabulary code,
-        # filled in on first occurrence to preserve node creation order
-        code_nodes: dict[tuple[str, str], list[int | None]] = {}
+        # per (relation, attribute): codes and vocabulary as lists, read once,
+        # and the value-node index per code, filled in on first occurrence
+        # to preserve node creation order
         columns = {
-            (rel_name, attr_name): compiled_rel.columns[attr_name]
+            (rel_name, attr_name): (
+                column.codes.tolist(), column.vocab.tolist(), [None] * column.vocab.size
+            )
             for rel_name, compiled_rel in compiled.relations.items()
-            for attr_name in compiled_rel.schema.attribute_names
+            for attr_name, column in compiled_rel.columns.items()
         }
         for fact in self.db:
             compiled_rel = compiled.relations[fact.relation]
@@ -138,18 +140,14 @@ class DatabaseGraph:
             self._fact_nodes[fact.fact_id] = fact_node
             for attr_name in compiled_rel.schema.attribute_names:
                 column_key = (fact.relation, attr_name)
-                column = columns[column_key]
-                code = column.codes[row]
+                codes, vocab, table = columns[column_key]
+                code = codes[row]
                 if code < 0:
                     continue
-                table = code_nodes.get(column_key)
-                if table is None:
-                    table = [None] * len(column.vocab)
-                    code_nodes[column_key] = table
                 value_node = table[code]
                 if value_node is None:
                     group = self._groups[column_key]
-                    value_node = self._intern_node(("value", group, column.vocab[code]))
+                    value_node = self._intern_node(("value", group, vocab[code]))
                     table[code] = value_node
                 self._add_edge(fact_node, value_node)
 

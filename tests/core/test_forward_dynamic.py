@@ -146,6 +146,35 @@ class TestExtension:
             result.vector(straggler), extender.embed_fact(straggler), atol=1e-12, rtol=0
         )
 
+    @pytest.mark.parametrize("recompute", [True, False])
+    def test_unnotified_update_is_not_served_stale(self, genes, recompute):
+        """A database update the caller did not pass to notify_updated:
+        extend_batch and embed_fact still read the updated value."""
+        partition = partition_dataset(genes, ratio_new=0.2, rng=3)
+        db = partition.db
+        model = ForwardEmbedder(db, genes.prediction_relation, CONFIG, rng=0).fit()
+        extender = ForwardDynamicExtender(model, db, recompute_old_paths=recompute, rng=0)
+        restored = []
+        replay_all_at_once(partition, restored.extend)
+        extender.notify_inserted(restored)
+        new = [f for f in restored if f.relation == genes.prediction_relation]
+        before = extender.extend_batch(new)
+        fk = next(fk for fk in db.schema.foreign_keys_to(genes.prediction_relation)
+                  if fk.source == "GENE")
+        gene = next(g for f in new for g in db.referencing_facts(f, fk))
+        db.update(gene, {"chromosome": "moved", "motif": "moved"})  # no notify_updated
+        fresh = ForwardDynamicExtender(model, db, recompute_old_paths=recompute, rng=0)
+        expected = fresh.extend_batch(new)
+        assert any(np.abs(before[fid] - expected[fid]).max() > 1e-6 for fid in expected)
+        served = extender.extend_batch(new)
+        for fact in new:
+            np.testing.assert_allclose(
+                served[fact.fact_id], expected[fact.fact_id], atol=1e-12, rtol=0
+            )
+            np.testing.assert_allclose(
+                extender.embed_fact(fact), fresh.embed_fact(fact), atol=1e-12, rtol=0
+            )
+
     def test_extended_vector_registered_on_model(self, genes):
         partition = partition_dataset(genes, ratio_new=0.1, rng=7)
         model = ForwardEmbedder(partition.db, genes.prediction_relation, CONFIG, rng=3).fit()

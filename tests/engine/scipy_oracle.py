@@ -53,7 +53,7 @@ class ProductChain:
         """The row-stochastic transition matrix of one walk step."""
         if step not in self._steps:
             fk = step.foreign_key
-            pointers = self.compiled.fk_pointer_array(fk.name)
+            pointers = self.compiled.fk_target_rows(fk.name)
             shape = (
                 self.compiled.relations[fk.source].num_rows,
                 self.compiled.relations[fk.target].num_rows,
@@ -74,7 +74,7 @@ class ProductChain:
         """``W(·, s)`` for every start row."""
         if scheme not in self._destinations:
             if not scheme.steps:
-                alive = self.compiled.relations[scheme.start_relation].alive_array()
+                alive = self.compiled.relations[scheme.start_relation].alive
                 mass = sparse.diags(alive.astype(np.float64), format="csr")
             else:
                 mass = self.step_matrix(scheme.steps[0])
@@ -89,7 +89,7 @@ class ProductChain:
         if key not in self._indicators:
             compiled_relation = self.compiled.relations[relation]
             column = compiled_relation.columns[attribute]
-            codes = np.where(compiled_relation.alive_array(), column.codes_array(), -1)
+            codes = np.where(compiled_relation.alive, column.codes, -1)
             valued = np.flatnonzero(codes >= 0)
             self._indicators[key] = sparse.csr_matrix(
                 (np.ones(valued.size), (valued, codes[valued])),
@@ -100,7 +100,7 @@ class ProductChain:
     def attribute_matrix(self, scheme, attribute) -> tuple[sparse.csr_matrix, np.ndarray]:
         """``(matrix, vocabulary)`` of ``d_{f,s}[A]`` for every start row."""
         product = self.destination_matrix(scheme) @ self.indicator(scheme.end_relation, attribute)
-        vocab = self.compiled.relations[scheme.end_relation].columns[attribute].vocab_array()
+        vocab = self.compiled.relations[scheme.end_relation].columns[attribute].vocab
         return normalize_rows(product), vocab
 
 

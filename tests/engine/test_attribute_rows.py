@@ -4,7 +4,8 @@
 fact as a slice of :meth:`WalkEngine.attribute_matrix`.  It must equal the
 per-query matrix rows exactly, agree with the reference BFS, refuse a
 scheme that does not start at the fact's relation, and read the same bits
-after incremental appends as a fresh engine does.
+after incremental appends as a fresh engine does, leaving the matrices and
+vocabularies it handed out before untouched.
 """
 
 import numpy as np
@@ -79,7 +80,8 @@ class TestFusedEqualsSerial:
 class TestFusionBehaviour:
     def test_append_extension_is_bit_identical(self, movies_db):
         """Incremental appends: the rows on an engine that saw facts arrive
-        one batch at a time equal a from-scratch engine's exactly."""
+        one batch at a time equal a from-scratch engine's exactly, and no
+        append or compaction writes into a matrix or vocabulary handed out."""
         streamed = movies_db.copy()
         arrival = streamed.facts("COLLABORATIONS")[-1]
         streamed.delete(arrival)
@@ -100,3 +102,42 @@ class TestFusionBehaviour:
                 continue
             assert np.array_equal(incremental[0], scratch[0])
             assert np.array_equal(incremental[1], scratch[1])
+
+        # every matrix and vocabulary handed out stays as it was, bit for
+        # bit, while inserts fill the columns' spare capacity and grow them
+        # past it, and after a forced compaction
+        handed_out, frozen = [], []
+
+        def hand_out():
+            for scheme, attribute in queries:
+                matrix, vocab = engine.attribute_matrix(scheme, attribute)
+                handed_out.append((matrix, vocab))
+                frozen.append((matrix.indptr.copy(), matrix.indices.copy(),
+                               matrix.data.copy(), vocab.tolist()))
+
+        def assert_unchanged():
+            for (matrix, vocab), (indptr, indices, data, values) in zip(handed_out, frozen):
+                assert np.array_equal(matrix.indptr, indptr)
+                assert np.array_equal(matrix.indices, indices)
+                assert np.array_equal(matrix.data, data)
+                assert vocab.tolist() == values
+
+        hand_out()
+        studios = []
+        for i in range(12):
+            studio = {"sid": f"s-new{i}", "name": f"N{i}", "loc": f"L{i}"}
+            movie = {
+                "mid": f"m-new{i}", "studio": f"s-new{i}", "title": f"T{i}",
+                "genre": f"G{i}", "budget": 1000 + i,
+            }
+            added = [streamed.insert("STUDIOS", studio), streamed.insert("MOVIES", movie)]
+            studios.append(added[0])
+            engine.add_facts(added)
+            hand_out()
+            assert_unchanged()
+        for studio in studios[::2]:
+            streamed.delete(studio)
+        engine.remove_facts(studios[::2])
+        assert engine.compiled.compact()
+        hand_out()
+        assert_unchanged()

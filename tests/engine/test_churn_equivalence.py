@@ -40,12 +40,13 @@ class TestRemoveFact:
         db.delete(victim)
         assert compiled.remove_fact(victim) is True
         relation = compiled.relations["COLLABORATIONS"]
+        assert relation.alive.dtype == bool and relation.fact_ids.dtype == np.int64
         assert not relation.alive[row]
         assert relation.fact_ids[row] == -1
         assert victim.fact_id not in relation.row_of
         assert compiled.num_facts == len(db)
         for fk in db.schema.foreign_keys_from("COLLABORATIONS"):
-            assert compiled.fk_target_rows[fk.name][row] == -1
+            assert compiled.fk_target_rows(fk.name)[row] == -1
 
     def test_incoming_pointers_repaired(self, db):
         compiled = CompiledDatabase(db)
@@ -54,14 +55,11 @@ class TestRemoveFact:
         fk = next(
             fk for fk in db.schema.foreign_keys_to("MOVIES") if fk.source == "COLLABORATIONS"
         )
-        referencing_rows = [
-            i for i, p in enumerate(compiled.fk_target_rows[fk.name]) if p == movie_row
-        ]
-        assert referencing_rows  # the fixture movie is referenced
+        referencing_rows = np.flatnonzero(compiled.fk_target_rows(fk.name) == movie_row)
+        assert referencing_rows.size  # the fixture movie is referenced
         db.delete(movie)
         compiled.remove_fact(movie)
-        for i in referencing_rows:
-            assert compiled.fk_target_rows[fk.name][i] == -1
+        assert (compiled.fk_target_rows(fk.name)[referencing_rows] == -1).all()
 
     def test_remove_is_idempotent(self, db):
         compiled = CompiledDatabase(db)
@@ -131,7 +129,7 @@ class TestUpdateFact:
         compiled.update_fact(updated)
         row = compiled.relations["COLLABORATIONS"].row_of[collab.fact_id]
         assert (
-            compiled.fk_target_rows[fk.name][row]
+            compiled.fk_target_rows(fk.name)[row]
             == compiled.relations["MOVIES"].row_of[other_movie.fact_id]
         )
 
@@ -143,14 +141,11 @@ class TestUpdateFact:
         fk = next(
             fk for fk in db.schema.foreign_keys_to("MOVIES") if fk.source == "COLLABORATIONS"
         )
-        referencing_rows = [
-            i for i, p in enumerate(compiled.fk_target_rows[fk.name]) if p == movie_row
-        ]
-        assert referencing_rows
+        referencing_rows = np.flatnonzero(compiled.fk_target_rows(fk.name) == movie_row)
+        assert referencing_rows.size
         updated = db.update(movie, {"mid": "m-renamed"})
         compiled.update_fact(updated)
-        for i in referencing_rows:
-            assert compiled.fk_target_rows[fk.name][i] == -1
+        assert (compiled.fk_target_rows(fk.name)[referencing_rows] == -1).all()
 
 
 class TestRefresh:

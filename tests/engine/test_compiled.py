@@ -21,16 +21,19 @@ class TestValueColumn:
         column = ValueColumn()
         for value in ["a", "b", None, "a", "c"]:
             column.append(value)
-        assert column.codes == [0, 1, -1, 0, 2]
-        assert column.vocab == ["a", "b", "c"]
-        assert list(column.vocab_array()) == ["a", "b", "c"]
+        assert column.codes.dtype == np.int64 and column.vocab.dtype == object
+        assert np.array_equal(column.codes, [0, 1, -1, 0, 2])
+        assert column.vocab.tolist() == ["a", "b", "c"]
+        bulk = ValueColumn(["a", "b", None, "a", "c"])
+        assert np.array_equal(bulk.codes, column.codes) and bulk.codes.dtype == np.int64
+        assert bulk.vocab.tolist() == ["a", "b", "c"]
 
     def test_tuple_values_supported(self):
         column = ValueColumn()
         column.append((1, 2))
         column.append((1, 2))
-        assert column.codes == [0, 0]
-        assert column.vocab_array()[0] == (1, 2)
+        assert np.array_equal(column.codes, [0, 0])
+        assert column.vocab.shape == (1,) and column.vocab[0] == (1, 2)
 
 
 class TestCompiledDatabase:
@@ -47,7 +50,7 @@ class TestCompiledDatabase:
     def test_fk_pointers_match_database_index(self, db):
         compiled = CompiledDatabase(db)
         for fk in db.schema.foreign_keys:
-            pointers = compiled.fk_target_rows[fk.name]
+            pointers = compiled.fk_target_rows(fk.name)
             target_rel = compiled.relations[fk.target]
             for row, fact_id in enumerate(compiled.relations[fk.source].fact_ids):
                 target = db.referenced_fact(db.fact(fact_id), fk)
@@ -79,11 +82,16 @@ class TestCompiledDatabase:
         assert compiled.version > version
         fresh = CompiledDatabase(db)
         for relation in db.relations:
-            assert compiled.relations[relation].fact_ids == fresh.relations[relation].fact_ids
+            fact_ids = compiled.relations[relation].fact_ids
+            assert fact_ids.dtype == np.int64
+            assert np.array_equal(fact_ids, fresh.relations[relation].fact_ids)
             for attr, column in compiled.relations[relation].columns.items():
-                assert column.codes == fresh.relations[relation].columns[attr].codes
+                assert column.codes.dtype == np.int64
+                assert np.array_equal(column.codes, fresh.relations[relation].columns[attr].codes)
         for fk in db.schema.foreign_keys:
-            assert compiled.fk_target_rows[fk.name] == fresh.fk_target_rows[fk.name]
+            pointers = compiled.fk_target_rows(fk.name)
+            assert pointers.dtype == np.int64
+            assert np.array_equal(pointers, fresh.fk_target_rows(fk.name))
 
     def test_dangling_reference_repaired_when_target_arrives(self, db):
         compiled = CompiledDatabase(db)
@@ -94,11 +102,11 @@ class TestCompiledDatabase:
         compiled.add_fact(collab)
         fk_movie = next(fk for fk in db.schema.foreign_keys_from("COLLABORATIONS") if fk.target == "MOVIES")
         row = compiled.relations["COLLABORATIONS"].row_of[collab.fact_id]
-        assert compiled.fk_target_rows[fk_movie.name][row] == -1
+        assert compiled.fk_target_rows(fk_movie.name)[row] == -1
         movie = db.insert("MOVIES", {"mid": "m98", "title": "Late", "budget": 2})
         compiled.add_fact(movie)
         assert (
-            compiled.fk_target_rows[fk_movie.name][row]
+            compiled.fk_target_rows(fk_movie.name)[row]
             == compiled.relations["MOVIES"].row_of[movie.fact_id]
         )
 

@@ -51,12 +51,19 @@ class TestRoundTrip:
         restored = WalkEngine.load(movies_db, tmp_path / "engine.npz")
         for name, relation in engine.compiled.relations.items():
             other = restored.compiled.relations[name]
-            assert relation.fact_ids == other.fact_ids
+            assert other.fact_ids.dtype == np.int64
+            assert np.array_equal(relation.fact_ids, other.fact_ids)
             assert relation.row_of == other.row_of
             for attr, column in relation.columns.items():
-                assert column.codes == other.columns[attr].codes
-                assert column.vocab == other.columns[attr].vocab
-        assert engine.compiled.fk_target_rows == restored.compiled.fk_target_rows
+                restored_column = other.columns[attr]
+                assert restored_column.codes.dtype == np.int64
+                assert restored_column.vocab.dtype == object
+                assert np.array_equal(column.codes, restored_column.codes)
+                assert column.vocab.tolist() == restored_column.vocab.tolist()
+        for fk in movies_db.schema.foreign_keys:
+            pointers = restored.compiled.fk_target_rows(fk.name)
+            assert pointers.dtype == np.int64
+            assert np.array_equal(engine.compiled.fk_target_rows(fk.name), pointers)
 
     def test_post_snapshot_inserts_are_appended_on_load(self, movies_db, tmp_path):
         engine = WalkEngine(movies_db)

@@ -207,8 +207,14 @@ def test_compaction_renumbers_like_a_fresh_compile():
     assert engine.compiled.compact()
     fresh = WalkEngine(db).compiled
     for name, relation in engine.compiled.relations.items():
-        assert relation.fact_ids == fresh.relations[name].fact_ids
+        assert relation.fact_ids.dtype == np.int64
+        assert np.array_equal(relation.fact_ids, fresh.relations[name].fact_ids)
         for attribute, column in relation.columns.items():
-            assert column.codes == fresh.relations[name].columns[attribute].codes
-            assert column.vocab == fresh.relations[name].columns[attribute].vocab
-    assert engine.compiled.fk_target_rows == fresh.fk_target_rows
+            other = fresh.relations[name].columns[attribute]
+            assert column.codes.dtype == np.int64 and column.vocab.dtype == object
+            assert np.array_equal(column.codes, other.codes)
+            assert column.vocab.tolist() == other.vocab.tolist()
+    for fk in db.schema.foreign_keys:
+        pointers = engine.compiled.fk_target_rows(fk.name)
+        assert pointers.dtype == np.int64
+        assert np.array_equal(pointers, fresh.fk_target_rows(fk.name))
